@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: series, enumerate, map, count, verify.  All take --json.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic: identical invocations print identical bytes.
+Exit codes: 0 success, 1 verification failure, 2 usage or internal error;
+every error is one ``error: ...`` line on stderr.  Output is deterministic:
+identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="evaluate a level-weighted continued fraction")
     p_series.add_argument("--weights", type=_parse_weights, required=True, metavar=WEIGHT_TOKENS)
     p_series.add_argument("--order", type=int, required=True, help="max z-degree retained")
-    p_series.add_argument("--depth", type=int, default=None, help="levels to evaluate (default: order)")
+    p_series.add_argument(
+        "--depth", type=int, default=None, help="levels to evaluate (default: order; deeper changes nothing)"
+    )
     p_series.add_argument("--json", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="list ordered trees by edge count")
@@ -318,6 +321,11 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 means "verification failed", so a crash must not use it.
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
         return 2
 
 

@@ -93,20 +93,48 @@ class LevelWeights:
 def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     """Evaluate the continued fraction truncated at z-order ``order_z``.
 
-    Bottom-up: s = 1 below the deepest level, then s = 1/(1 - w_l * s) for
-    l = depth down to 1.  Because every weight carries a z, any depth >=
-    order_z yields the exact series through z-degree order_z.
+    By Flajolet's combinatorial theorem for continued fractions, the z^n
+    coefficient is a sum over Dyck paths of height <= depth in which an
+    up-step to height l carries w_l and a down-step carries 1.  A cell
+    (d, h) holds the weighted path prefixes that end at height h with
+    z-degree d; the z^d slice is cell (d, 0).  Every weight carries a z, so
+    no path of z-degree <= order_z climbs above order_z: levels past
+    min(depth, order_z) are never looked up, and any depth >= order_z gives
+    the exact series.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if order_z < 0:
         raise ValueError("order_z must be nonnegative")
-    s = TruncSeries.one(order_z)
-    for level in range(depth, 0, -1):
-        # Truncating constructor: a weight too deep for the order just vanishes.
-        w = TruncSeries(order_z, {weights.weight(level): 1})
-        s = w.mul(s).geom_inverse()
-    return s
+    top = min(depth, order_z)
+    ups = [weights.weight(level) for level in range(1, top + 1)]
+    # rows[d][h] is cell (d, h); up-steps fill rows ahead of the one read.
+    rows: dict[int, dict[int, dict[Monomial, int]]] = {0: {0: {Monomial(0, 0, ()): 1}}}
+    out: dict[Monomial, int] = {}
+    for d in range(order_z + 1):
+        row = rows.pop(d, {})
+        # Down-steps keep d, so heights are read top-down within a row.
+        for h in range(top, -1, -1):
+            cell = row.get(h)
+            if not cell:
+                continue
+            if h < top:
+                w = ups[h]
+                if d + w.z_deg <= order_z:
+                    above = rows.setdefault(d + w.z_deg, {}).setdefault(h + 1, {})
+                    for m, c in cell.items():
+                        m = m.times(w)
+                        above[m] = above.get(m, 0) + c
+            if h == 0:
+                out.update(cell)
+                continue
+            below = row.get(h - 1)
+            if below is None:
+                row[h - 1] = cell
+            else:
+                for m, c in cell.items():
+                    below[m] = below.get(m, 0) + c
+    return TruncSeries(order_z, out)
 
 
 def cf_stability_check(weights: LevelWeights, order_z: int) -> bool:

@@ -3,8 +3,10 @@
 Everything here recomputes expected values from first principles with
 deliberately naive algorithms, separate from the package's implementations:
 the Catalan recurrence, triple scans for patterns, subset scans for counts,
-and a prefix-feasibility Dyck word generator (the package uses the
-first-return factorization instead).
+a prefix-feasibility Dyck word generator (the package uses the
+first-return factorization instead), the continued fraction by bottom-up
+series inversion (the package uses a path DP), and the area polynomials by
+a first-subtree recurrence.
 """
 
 from itertools import combinations
@@ -63,3 +65,39 @@ def column_area(word):
         else:
             total += height
     return total
+
+
+def reference_eval_cf(weights, depth, order_z):
+    """The continued fraction by its literal bottom-up definition.
+
+    s = 1 below the deepest level, then s = 1/(1 - w_l * s) for l = depth
+    down to 1, through ``TruncSeries.mul`` and ``geom_inverse``.  Costs
+    ``depth`` series inversions, so keep depth and order small.
+    """
+    from catfrac.series import TruncSeries
+
+    s = TruncSeries.one(order_z)
+    for level in range(depth, 0, -1):
+        w = TruncSeries(order_z, {weights.weight(level): 1})
+        s = w.mul(s).geom_inverse()
+    return s
+
+
+def area_polynomials(max_n):
+    """Level-sum polynomials of all trees on n edges, n = 0..max_n, as q-coefficient lists.
+
+    First-subtree recurrence: the root's first child heads a subtree of i
+    edges whose i + 1 vertices each sit one level deeper, and the rest of
+    the tree has j = n - 1 - i edges, so L_n = sum q^(i+1) L_i L_j.
+    """
+    polys = [[1]]
+    for n in range(1, max_n + 1):
+        acc = [0] * (n * (n + 1) // 2 + 1)
+        for i in range(n):
+            left, right = polys[i], polys[n - 1 - i]
+            for a, ca in enumerate(left):
+                if ca:
+                    for b, cb in enumerate(right):
+                        acc[a + b + i + 1] += ca * cb
+        polys.append(acc)
+    return polys

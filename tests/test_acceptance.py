@@ -23,7 +23,7 @@ from catfrac.trees import binom_level_sum, generate_trees, level_profile, level_
 from catfrac.util import binom
 from catfrac.verify import area_polynomial, pattern_polynomial_by_scan, z_slice_q
 
-from oracles import catalan_table
+from oracles import area_polynomials, catalan_table, reference_eval_cf
 
 
 def report(number, name, ok, note=""):
@@ -217,3 +217,31 @@ def test_criterion_9_cf_structural_properties():
             LevelWeights.increasing(k), order, order
         )
     report(9, "depth saturation, fixed point, specializations", ok)
+
+
+def test_criterion_10_area_order_40_vs_first_subtree_recurrence():
+    start = time.perf_counter()
+    series = eval_cf(LevelWeights.area(), 40, 40)
+    elapsed = time.perf_counter() - start
+    expected = area_polynomials(40)
+    ok = elapsed < 10.0
+    for n in range(41):
+        ok = ok and z_slice_q(series, n) == {q: c for q, c in enumerate(expected[n]) if c}
+    report(10, "area order 40 vs first-subtree recurrence", ok, f"{elapsed:.2f}s")
+
+
+def test_criterion_11_increasing_k3_order_30():
+    start = time.perf_counter()
+    series = eval_cf(LevelWeights.increasing(3), 30, 30)
+    elapsed = time.perf_counter() - start
+    table = catalan_table(30)
+    ok = elapsed < 10.0
+    for n in range(1, 31):
+        poly = z_slice_q(series, n)
+        # height <= 2 trees carry no (123) pattern; from n = 3 the chain's
+        # identity word is the only one with all C(n,3) triples increasing
+        ok = ok and sum(poly.values()) == table[n] and poly.get(0) == 2 ** (n - 1)
+        ok = ok and (n < 3 or poly.get(binom(n, 3)) == 1)
+    reference = reference_eval_cf(LevelWeights.increasing(3), 14, 14)
+    ok = ok and series.truncated(14) == reference
+    report(11, "k=3 order 30 identities, equal to bottom-up through 14", ok, f"{elapsed:.2f}s")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from catfrac import cli
 from catfrac.cli import main
 
 
@@ -57,6 +58,14 @@ class TestSeriesCommand:
         _, at_order, _ = run_cli(capsys, "series", "--weights", "eq2", "--order", "6", "--depth", "6")
         _, deeper, _ = run_cli(capsys, "series", "--weights", "eq2", "--order", "6", "--depth", "9")
         assert at_order == deeper
+
+    def test_huge_depth_finishes_like_depth_equal_to_order(self, capsys):
+        _, at_order, _ = run_cli(capsys, "series", "--weights", "eq1", "--order", "6", "--depth", "6")
+        code, huge, _ = run_cli(capsys, "series", "--weights", "eq1", "--order", "6", "--depth", "100000000")
+        assert code == 0
+        assert huge == at_order
+        _, out, _ = run_cli(capsys, "series", "--weights", "eq1", "--order", "6", "--depth", "100000000", "--json")
+        assert json.loads(out)["depth"] == 100000000
 
     def test_multivariate_json_carries_level_exponents(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--weights", "multivariate", "--order", "2", "--json")
@@ -216,6 +225,20 @@ class TestDeterminism:
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert (code1, out1) == (code2, out2)
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"), RecursionError("too deep")])
+    def test_unexpected_exception_is_one_line_exit_2(self, capsys, monkeypatch, exc):
+        def crash(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "series", crash)
+        code, out, err = run_cli(capsys, "series", "--weights", "catalan", "--order", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: internal: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -8,7 +8,7 @@ from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import generate_trees, level_profile
 from catfrac.util import binom
 
-from oracles import catalan_table
+from oracles import catalan_table, reference_eval_cf
 
 
 def zq(z, q=0):
@@ -104,6 +104,34 @@ class TestEvalCF:
         s = eval_cf(LevelWeights.catalan(), 1, 4)
         assert [s.coeff(zq(n)) for n in range(5)] == [1, 1, 1, 1, 1]
 
+    def test_depth_far_past_order_looks_up_only_the_reachable_levels(self):
+        # two custom levels serve any depth once the order caps the height at 2
+        weights = LevelWeights.custom([zq(1, 5), zq(1, 0)])
+        assert eval_cf(weights, 10**8, 2) == eval_cf(weights, 2, 2)
+
+
+_REFERENCE_CASES = [
+    LevelWeights.catalan(),
+    LevelWeights.area(),
+    *(LevelWeights.increasing(k) for k in range(1, 6)),
+    LevelWeights.multivariate(),
+    # a z^2 weight makes some up-steps skip a z-degree
+    LevelWeights.custom([zq(1, 2), zq(2, 0), zq(1, 1), zq(3, 5)]),
+]
+
+
+class TestAgainstReference:
+    """The path DP against the bottom-up loop of series inversions."""
+
+    @pytest.mark.parametrize("weights", _REFERENCE_CASES, ids=str)
+    @pytest.mark.parametrize("order", range(13))
+    def test_matches_bottom_up_evaluation(self, weights, order):
+        depths = {1, 2, order, order + 3} - {0}
+        if weights.kind == "custom":
+            depths = {d for d in depths if d <= len(weights.levels)}
+        for depth in sorted(depths):
+            assert eval_cf(weights, depth, order) == reference_eval_cf(weights, depth, order), depth
+
 
 class TestStability:
     def test_catalan_stable_at_order6(self):
@@ -124,6 +152,14 @@ class TestStability:
         w = LevelWeights.area()
         base = max(order, 1)
         assert eval_cf(w, base, order) == eval_cf(w, base + extra, order)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
+    def test_reference_depth_saturation_any_depth_past_order(self, order, extra):
+        # eval_cf never climbs past the order, so only the reference can show saturation
+        w = LevelWeights.area()
+        base = max(order, 1)
+        assert reference_eval_cf(w, base, order) == reference_eval_cf(w, base + extra, order)
 
 
 class TestFixedPoint:
