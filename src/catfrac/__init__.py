@@ -10,7 +10,7 @@ the underlying objects.
 """
 
 from .series import Monomial, TruncSeries, TruncationError
-from .contfrac import LevelWeights, cf_stability_check, eval_cf, fixed_point_check, specialize
+from .contfrac import LevelWeights, eval_cf, fixed_point_check, specialize
 from .trees import (
     LEAF,
     OrderedTree,
@@ -36,7 +36,6 @@ from .perms import (
     ConcatSplit,
     Pattern132Error,
     count_increasing,
-    count_increasing_via_tree,
     enumerate_132_avoiders,
     format_perm,
     has_132,
@@ -58,7 +57,6 @@ __all__ = [
     "TruncSeries",
     "TruncationError",
     "LevelWeights",
-    "cf_stability_check",
     "eval_cf",
     "fixed_point_check",
     "specialize",
@@ -82,7 +80,6 @@ __all__ = [
     "ConcatSplit",
     "Pattern132Error",
     "count_increasing",
-    "count_increasing_via_tree",
     "enumerate_132_avoiders",
     "format_perm",
     "has_132",

@@ -2,14 +2,16 @@
 
 Subcommands: series, enumerate, map, count, verify.  All take --json.
 Exit codes: 0 success, 1 verification failure, 2 usage or internal error;
-every error is one ``error: ...`` line on stderr.  Output is deterministic:
-identical invocations print identical bytes.
+every error is one ``error: ...`` line on stderr.  A reader that closes
+stdout early (``| head``) ends the run quietly with exit 0.  Output is
+deterministic: identical invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -24,7 +26,7 @@ from .perms import (
     perm_to_tree,
     tree_to_perm,
 )
-from .series import TruncSeries, TruncationError
+from .series import TruncationError
 from .trees import OrderedTree, decode, encode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
@@ -118,51 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_grouped(series: TruncSeries) -> str:
-    """z-grouped rendering, e.g. ``1 + z*(1) + z^2*(2) + z^3*(4 + q)``."""
-    groups: dict[int, list] = {}
-    for m, c in series.terms():
-        groups.setdefault(m.z_deg, []).append((m, c))
-    parts: list[str] = []
-    for z in sorted(groups):
-        inner = _render_poly(groups[z])
-        if z == 0:
-            parts.append(inner if len(groups[z]) == 1 else f"({inner})")
-        elif z == 1:
-            parts.append(f"z*({inner})")
-        else:
-            parts.append(f"z^{z}*({inner})")
-    return " + ".join(parts) if parts else "0"
-
-
-def _render_poly(terms: list) -> str:
-    pieces: list[str] = []
-    for m, c in terms:
-        body_parts = []
-        if m.q_deg == 1:
-            body_parts.append("q")
-        elif m.q_deg:
-            body_parts.append(f"q^{m.q_deg}")
-        for i, a in enumerate(m.v_degs):
-            if a == 1:
-                body_parts.append(f"v{i + 1}")
-            elif a:
-                body_parts.append(f"v{i + 1}^{a}")
-        body = "*".join(body_parts)
-        mag = abs(c)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        if not pieces:
-            pieces.append(f"-{text}" if c < 0 else text)
-        else:
-            pieces.append(f" - {text}" if c < 0 else f" + {text}")
-    return "".join(pieces)
-
-
 def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
@@ -179,7 +136,7 @@ def cmd_series(args) -> int:
         }
         print(json.dumps(doc))
     else:
-        print(_render_grouped(series))
+        print(series)
     return 0
 
 
@@ -312,7 +269,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send the rest of the buffered output to devnull, so that the
+        # interpreter's flush at exit does not fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except TruncationError as exc:
         print(f"error: beyond truncation: {exc}", file=sys.stderr)
         return 2

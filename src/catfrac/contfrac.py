@@ -137,12 +137,6 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     return TruncSeries(order_z, out)
 
 
-def cf_stability_check(weights: LevelWeights, order_z: int) -> bool:
-    """True iff evaluating 3 levels deeper changes nothing (depth saturation)."""
-    base = max(order_z, 1)
-    return eval_cf(weights, base, order_z) == eval_cf(weights, base + 3, order_z)
-
-
 def fixed_point_check(order_z: int) -> bool:
     """True iff the level-census series T satisfies T = 1/(1 - v1 * T-shifted).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .trees import OrderedTree
+from .trees import OrderedTree, decode, encode, level_sum
 from .util import binom
 
 
@@ -68,30 +68,18 @@ def parse_path(text: str) -> DyckPath:
     return DyckPath("".join(out))
 
 
+_TO_STEPS = str.maketrans("()", "EN")
+_TO_BRACKETS = str.maketrans("EN", "()")
+
+
 def tree_to_path(t: OrderedTree) -> DyckPath:
     """Preorder traversal: descent -> E, ascent -> N."""
-    parts: list[str] = []
-
-    def walk(node: OrderedTree) -> None:
-        for c in node.children:
-            parts.append("E")
-            walk(c)
-            parts.append("N")
-
-    walk(t)
-    return DyckPath("".join(parts))
+    return DyckPath(encode(t).translate(_TO_STEPS))
 
 
 def path_to_tree(p: DyckPath) -> OrderedTree:
     """Inverse of tree_to_path (total on valid paths)."""
-    stack: list[list[OrderedTree]] = [[]]
-    for ch in p.steps:
-        if ch == "E":
-            stack.append([])
-        else:
-            kids = stack.pop()
-            stack[-1].append(OrderedTree(tuple(kids)))
-    return OrderedTree(tuple(stack[0]))
+    return decode(p.steps.translate(_TO_BRACKETS))
 
 
 def area(p: DyckPath) -> int:
@@ -111,8 +99,6 @@ def area(p: DyckPath) -> int:
 
 def area_via_levels(t: OrderedTree) -> int:
     """Area of the corresponding path computed from the tree's level sum alone."""
-    from .trees import level_sum
-
     n = t.n_edges
     return binom(n + 1, 2) - level_sum(t)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .trees import LEAF, OrderedTree
+from .trees import OrderedTree, encode
 
 PermWord = tuple[int, ...]
 
@@ -41,17 +41,14 @@ def validate_perm(p: Sequence[int]) -> PermWord:
 def tree_to_perm(t: OrderedTree) -> PermWord:
     """Preorder-decreasing labels read in postorder; the bare root gives ()."""
     word: list[int] = []
-    next_label = t.n_edges
-
-    def walk(node: OrderedTree) -> None:
-        nonlocal next_label
-        for child in node.children:
-            label = next_label
-            next_label -= 1
-            walk(child)
-            word.append(label)
-
-    walk(t)
+    open_labels: list[int] = []
+    label = t.n_edges
+    for ch in encode(t):
+        if ch == "(":
+            open_labels.append(label)
+            label -= 1
+        else:
+            word.append(open_labels.pop())
     return tuple(word)
 
 
@@ -136,34 +133,24 @@ def count_increasing(p: Sequence[int], k: int) -> int:
     return sum(ending)
 
 
-def count_increasing_via_tree(t: OrderedTree, k: int) -> int:
-    """Increasing patterns of length k in tree_to_perm(t), read off the levels."""
-    from .trees import binom_level_sum
-
-    return binom_level_sum(t, k)
-
-
 def _label_table(t: OrderedTree) -> tuple[list[int], dict[int, int]]:
     """Preorder labels with levels and parent labels (root = label 0).
 
     Returns (levels_by_label, parent_by_label) where levels_by_label[label]
     is the level of that vertex; index 0 is the root at level 0.
     """
-    n = t.n_edges
-    levels = [0] * (n + 1)
+    label = t.n_edges
+    levels = [0] * (label + 1)
     parent = {0: 0}
-    next_label = n
-
-    def walk(node: OrderedTree, node_label: int, level: int) -> None:
-        nonlocal next_label
-        for child in node.children:
-            label = next_label
-            next_label -= 1
-            levels[label] = level + 1
-            parent[label] = node_label
-            walk(child, label, level + 1)
-
-    walk(t, 0, 0)
+    open_labels = [0]
+    for ch in encode(t):
+        if ch == "(":
+            levels[label] = len(open_labels)
+            parent[label] = open_labels[-1]
+            open_labels.append(label)
+            label -= 1
+        else:
+            open_labels.pop()
     return levels, parent
 
 
@@ -212,9 +199,10 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
     Raises Pattern132Error (with a witnessing triple) on words containing a
     (132) pattern and ValueError on non-permutation input.
 
-    Decoding: in an avoiding word on 1..m, everything before the maximum m is
-    the first subtree's block, shifted by the count of what follows m; the
-    part after m is again a word of the same shape on 1..(that count).
+    Decoding: the word lists each vertex right after its subtree.  When a
+    vertex's label is read, the finished subtrees on the stack are rooted at
+    its children, which carry smaller labels, and below them at earlier
+    siblings of the vertex or of its ancestors, which carry larger ones.
     """
     word = validate_perm(p)
     witness = has_132(word)
@@ -224,15 +212,17 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
 
 
 def _decode_avoider(w: PermWord) -> OrderedTree:
-    if not w:
-        return LEAF
-    children: list[OrderedTree] = []
-    while w:
-        pos = w.index(len(w))  # the maximum equals the length at every stage
-        offset = len(w) - pos - 1
-        children.append(_decode_avoider(tuple(x - offset for x in w[:pos])))
-        w = w[pos + 1 :]
-    return OrderedTree(tuple(children))
+    roots: list[int] = []  # root labels of the finished subtrees on the stack
+    subtrees: list[OrderedTree] = []
+    for label in w:
+        start = len(roots)
+        while start and roots[start - 1] < label:
+            start -= 1
+        children = tuple(subtrees[start:])
+        del roots[start:], subtrees[start:]
+        roots.append(label)
+        subtrees.append(OrderedTree(children))
+    return OrderedTree(tuple(subtrees))
 
 
 @dataclass(frozen=True)
@@ -288,8 +278,3 @@ def parse_perm(text: str) -> PermWord:
 
 def format_perm(p: Sequence[int]) -> str:
     return " ".join(str(x) for x in p)
-
-
-def _all_permutation_words(n: int) -> Iterator[PermWord]:
-    """Every permutation of 1..n, lexicographically (the brute-force universe)."""
-    return permutations(range(1, n + 1))

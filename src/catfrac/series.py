@@ -73,9 +73,9 @@ class Monomial(NamedTuple):
 _ONE = Monomial(0, 0, ())
 
 
-def _group_by_z(terms: Mapping[Monomial, int]) -> dict[int, list[tuple[Monomial, int]]]:
+def _group_by_z(terms: Iterable[tuple[Monomial, int]]) -> dict[int, list[tuple[Monomial, int]]]:
     by_z: dict[int, list[tuple[Monomial, int]]] = {}
-    for m, c in terms.items():
+    for m, c in terms:
         by_z.setdefault(m.z_deg, []).append((m, c))
     return by_z
 
@@ -113,15 +113,6 @@ class TruncSeries:
     def one(cls, order_z: int) -> "TruncSeries":
         return cls(order_z, {_ONE: 1})
 
-    @classmethod
-    def term(cls, order_z: int, coeff: int, monomial: Monomial) -> "TruncSeries":
-        """Single-term series; rejects a monomial beyond the order outright."""
-        if monomial.z_deg > order_z:
-            raise ValueError(
-                f"monomial of z-degree {monomial.z_deg} does not fit order {order_z}"
-            )
-        return cls(order_z, {monomial: coeff})
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -156,7 +147,7 @@ class TruncSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"TruncSeries(order_z={self.order_z}, {self.canonical_str()})"
+        return f"TruncSeries(order_z={self.order_z}, {self})"
 
     # -- ring operations --------------------------------------------------
 
@@ -189,8 +180,8 @@ class TruncSeries:
         self._check_compat(other)
         order = self.order_z
         out: dict[Monomial, int] = {}
-        by_a = _group_by_z(self._terms)
-        by_b = _group_by_z(other._terms)
+        by_a = _group_by_z(self._terms.items())
+        by_b = _group_by_z(other._terms.items())
         for za, terms_a in by_a.items():
             for zb, terms_b in by_b.items():
                 if za + zb > order:
@@ -203,12 +194,6 @@ class TruncSeries:
 
     def __add__(self, other):
         return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -227,7 +212,7 @@ class TruncSeries:
                     f"found a z-degree-0 term {m}"
                 )
         order = self.order_z
-        s_by_z = _group_by_z(self._terms)
+        s_by_z = _group_by_z(self._terms.items())
         r_by_z: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
         for d in range(1, order + 1):
             acc: dict[Monomial, int] = {}
@@ -305,26 +290,23 @@ class TruncSeries:
 
     # -- rendering ---------------------------------------------------------
 
-    def canonical_str(self) -> str:
-        """Deterministic flat rendering, e.g. ``1 + 4*z^3 + 1*z^3*q^1``.
+    def __str__(self) -> str:
+        """Rendering grouped by z-degree, e.g. ``1 + z*(1) + z^2*(2) + z^3*(4 + q)``.
 
-        Terms appear in canonical monomial order; every non-constant term
-        keeps its explicit coefficient and exponents.  Monomials with level
-        variables render the v-part only (their z-degree is implied).
+        Within a group, terms appear in canonical monomial order; a unit
+        coefficient or exponent is left out, and level variables render as
+        v1, v2, ...
         """
-        items = self.terms()
-        if not items:
-            return "0"
-        pieces: list[str] = []
-        for m, c in items:
-            body = _flat_body(m)
-            mag = abs(c)
-            text = str(mag) if not body else f"{mag}*{body}"
-            if not pieces:
-                pieces.append(f"-{text}" if c < 0 else text)
+        parts: list[str] = []
+        for z, group in _group_by_z(self.terms()).items():
+            inner = _render_poly(group)
+            if z == 0:
+                parts.append(inner if len(group) == 1 else f"({inner})")
+            elif z == 1:
+                parts.append(f"z*({inner})")
             else:
-                pieces.append(f" - {text}" if c < 0 else f" + {text}")
-        return "".join(pieces)
+                parts.append(f"z^{z}*({inner})")
+        return " + ".join(parts) if parts else "0"
 
     def term_records(self) -> list[dict]:
         """JSON-ready records, coefficients as decimal strings (they exceed 64 bits)."""
@@ -334,15 +316,29 @@ class TruncSeries:
         ]
 
 
-def _flat_body(m: Monomial) -> str:
-    parts: list[str] = []
-    if m.v_degs:
-        if m.q_deg:
-            parts.append(f"q^{m.q_deg}")
-        parts.extend(f"v{i + 1}^{a}" for i, a in enumerate(m.v_degs) if a)
-    else:
-        if m.z_deg:
-            parts.append(f"z^{m.z_deg}")
-        if m.q_deg:
-            parts.append(f"q^{m.q_deg}")
-    return "*".join(parts)
+def _render_poly(terms: list[tuple[Monomial, int]]) -> str:
+    pieces: list[str] = []
+    for m, c in terms:
+        body_parts = []
+        if m.q_deg == 1:
+            body_parts.append("q")
+        elif m.q_deg:
+            body_parts.append(f"q^{m.q_deg}")
+        for i, a in enumerate(m.v_degs):
+            if a == 1:
+                body_parts.append(f"v{i + 1}")
+            elif a:
+                body_parts.append(f"v{i + 1}^{a}")
+        body = "*".join(body_parts)
+        mag = abs(c)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(f"-{text}" if c < 0 else text)
+        else:
+            pieces.append(f" - {text}" if c < 0 else f" + {text}")
+    return "".join(pieces)

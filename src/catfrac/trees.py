@@ -3,11 +3,17 @@
 A tree is a root with an ordered tuple of child subtrees; the left-to-right
 order matters.  The root sits at level 0, so a tree on n edges has n nonroot
 vertices at levels >= 1.
+
+Only two functions walk a tree below its root's children: ``encode``, whose
+word is the preorder stream of descents '(' and ascents ')', and
+``level_profile``, which walks level by level.  Every other codec and
+statistic in the package reads one of their outputs, and neither recurses,
+so trees of any depth work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .util import binom
@@ -24,10 +30,13 @@ class TreeParseError(ValueError):
 @dataclass(frozen=True, slots=True)
 class OrderedTree:
     children: tuple["OrderedTree", ...] = ()
+    n_edges: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(c.n_edges + 1 for c in self.children)
+    def __post_init__(self):
+        n_edges = len(self.children)
+        for c in self.children:
+            n_edges += c.n_edges
+        object.__setattr__(self, "n_edges", n_edges)
 
 
 LEAF = OrderedTree()
@@ -71,54 +80,38 @@ def generate_trees(n: int) -> Iterator[OrderedTree]:
 def level_profile(t: OrderedTree) -> tuple[int, ...]:
     """counts[k-1] = number of vertices at level k; empty for the bare root."""
     counts: list[int] = []
-    stack = [(c, 1) for c in reversed(t.children)]
-    while stack:
-        node, level = stack.pop()
-        if level > len(counts):
-            counts.extend([0] * (level - len(counts)))
-        counts[level - 1] += 1
-        for c in reversed(node.children):
-            stack.append((c, level + 1))
+    frontier = t.children
+    while frontier:
+        counts.append(len(frontier))
+        frontier = [c for node in frontier for c in node.children]
     return tuple(counts)
 
 
 def level_sum(t: OrderedTree) -> int:
     """Sum of level(v) over nonroot vertices (the root contributes 0)."""
-    total = 0
-    stack = [(c, 1) for c in t.children]
-    while stack:
-        node, level = stack.pop()
-        total += level
-        for c in node.children:
-            stack.append((c, level + 1))
-    return total
+    return sum(level * c for level, c in enumerate(level_profile(t), start=1))
 
 
 def binom_level_sum(t: OrderedTree, k: int) -> int:
     """Sum of C(level(v)-1, k-1) over nonroot vertices."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = 0
-    stack = [(c, 1) for c in t.children]
-    while stack:
-        node, level = stack.pop()
-        total += binom(level - 1, k - 1)
-        for c in node.children:
-            stack.append((c, level + 1))
-    return total
+    return sum(c * binom(level - 1, k - 1) for level, c in enumerate(level_profile(t), start=1))
 
 
 def encode(t: OrderedTree) -> str:
     """Balanced parentheses: '(' on preorder descent, ')' on ascent; root is ''."""
     parts: list[str] = []
-
-    def walk(node: OrderedTree) -> None:
-        for c in node.children:
+    stack = [iter(t.children)]  # per open vertex, its children not yet visited
+    while stack:
+        for child in stack[-1]:
             parts.append("(")
-            walk(c)
+            stack.append(iter(child.children))
+            break
+        else:
+            stack.pop()
             parts.append(")")
-
-    walk(t)
+    parts.pop()  # the ')' written when the root's children ran out: the root has no '('
     return "".join(parts)
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .contfrac import LevelWeights, eval_cf
 from .paths import area, area_via_levels, generate_paths, path_to_tree, tree_to_path
 from .perms import (
     ConcatSplit,
     _contains_132,
-    _all_permutation_words,
     count_increasing,
     enumerate_132_avoiders,
     format_perm,
@@ -66,7 +66,7 @@ def pattern_polynomial_by_scan(n: int, k: int) -> dict[int, int]:
     increasing patterns with the DP counter.  Entirely word-side: no trees.
     """
     counts: Counter[int] = Counter()
-    for p in _all_permutation_words(n):
+    for p in permutations(range(1, n + 1)):
         if not _contains_132(p):
             counts[count_increasing(p, k)] += 1
     return dict(counts)

@@ -250,3 +250,56 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 2 3\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # 16796 lines overflow the pipe buffer, so the writer sees the reader leave
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catfrac", "enumerate", "--edges", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"()()()()()()()()()()\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 0
+
+
+# Runs in a fresh interpreter whose recursion limit is far below the input
+# depth, so any recursive walk over a tree fails here.  Trees are compared
+# through their encodings: the dataclass __eq__ itself recurses.
+DEEP_INPUTS = """
+import contextlib, io, sys
+from math import comb
+from catfrac import cli
+from catfrac.trees import binom_level_sum, decode, level_profile, level_sum
+
+n = 10_000
+shapes = {
+    "chain": {"tree": "(" * n + ")" * n, "path": "E" * n + "N" * n,
+              "perm": " ".join(map(str, range(1, n + 1)))},
+    "star": {"tree": "()" * n, "path": "EN" * n,
+             "perm": " ".join(map(str, range(n, 0, -1)))},
+}
+sys.setrecursionlimit(150)
+for shape, enc in shapes.items():
+    for src in enc:
+        for dst in enc:
+            if src != dst:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["map", "--from", src, "--to", dst, enc[src]])
+                assert (code, out.getvalue()) == (0, enc[dst] + "\\n"), (shape, src, dst)
+chain = decode(shapes["chain"]["tree"])
+assert level_profile(chain) == (1,) * n
+assert level_sum(chain) == comb(n + 1, 2)
+assert binom_level_sum(chain, 3) == comb(n, 3)
+assert chain.n_edges == n
+"""
+
+
+class TestDeepInputs:
+    def test_ten_thousand_edges_under_a_low_recursion_limit(self):
+        proc = subprocess.run([sys.executable, "-c", DEEP_INPUTS], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == ""

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfrac.contfrac import LevelWeights, cf_stability_check, eval_cf, fixed_point_check, specialize
+from catfrac.contfrac import LevelWeights, eval_cf, fixed_point_check, specialize
 from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import generate_trees, level_profile
 from catfrac.util import binom
@@ -134,18 +134,6 @@ class TestAgainstReference:
 
 
 class TestStability:
-    def test_catalan_stable_at_order6(self):
-        assert cf_stability_check(LevelWeights.catalan(), 6)
-
-    def test_increasing_k3_stable_at_order5(self):
-        assert cf_stability_check(LevelWeights.increasing(3), 5)
-
-    def test_increasing_k4_stable_at_order5(self):
-        assert cf_stability_check(LevelWeights.increasing(4), 5)
-
-    def test_order_zero(self):
-        assert cf_stability_check(LevelWeights.area(), 0)
-
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
     def test_depth_saturation_any_depth_past_order(self, order, extra):

@@ -6,7 +6,6 @@ from catfrac.perms import (
     Pattern132Error,
     _contains_132,
     count_increasing,
-    count_increasing_via_tree,
     enumerate_132_avoiders,
     format_perm,
     has_132,
@@ -201,14 +200,14 @@ class TestConcatSplit:
 
 class TestTreePatternStatistics:
     def test_chain_k3(self):
-        assert count_increasing_via_tree(CHAIN3, 3) == 1
+        assert binom_level_sum(CHAIN3, 3) == 1
 
     def test_star_k3(self):
-        assert count_increasing_via_tree(STAR3, 3) == 0
+        assert binom_level_sum(STAR3, 3) == 0
 
     @given(small_trees())
     def test_k1_counts_edges(self, t):
-        assert count_increasing_via_tree(t, 1) == t.n_edges
+        assert binom_level_sum(t, 1) == t.n_edges
         assert root_to_leaf_subset_count(t, 1) == t.n_edges
 
     def test_chain_subsets_k2(self):

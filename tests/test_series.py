@@ -98,7 +98,7 @@ class TestGeomInverse:
 
     @given(zq_series(order_z=4, min_z=1))
     def test_multiplicative_inverse_of_one_minus_s(self, s):
-        one_minus_s = TruncSeries.one(4) - s
+        one_minus_s = TruncSeries.one(4).add(s.scale(-1))
         assert one_minus_s * s.geom_inverse() == TruncSeries.one(4)
 
 
@@ -149,10 +149,6 @@ class TestTruncation:
     def test_constructor_discards_beyond_order(self):
         assert series(2, {(3, 0): 1}) == TruncSeries.zero(2)
 
-    def test_term_factory_rejects_beyond_order(self):
-        with pytest.raises(ValueError):
-            TruncSeries.term(2, 1, zq(3, 0))
-
 
 class TestLevels:
     def test_shift_levels(self):
@@ -177,20 +173,20 @@ class TestLevels:
 
 
 class TestRendering:
-    def test_flat_rendering_matches_convention(self):
+    def test_grouped_rendering_matches_convention(self):
         s = series(3, {(0, 0): 1, (3, 0): 4, (3, 1): 1})
-        assert s.canonical_str() == "1 + 4*z^3 + 1*z^3*q^1"
+        assert str(s) == "1 + z^3*(4 + q)"
 
     def test_zero_series(self):
-        assert TruncSeries.zero(2).canonical_str() == "0"
+        assert str(TruncSeries.zero(2)) == "0"
 
     def test_negative_coefficients(self):
-        s = series(2, {(0, 0): 1, (2, 0): -1})
-        assert s.canonical_str() == "1 - 1*z^2"
+        s = series(2, {(0, 0): 1, (2, 0): -1, (2, 2): -3})
+        assert str(s) == "1 + z^2*(-1 - 3*q^2)"
 
     def test_multivariate_rendering_uses_level_variables(self):
-        s = TruncSeries(3, {Monomial(3, 0, (2, 1)): 2})
-        assert s.canonical_str() == "2*v1^2*v2^1"
+        s = TruncSeries(3, {Monomial(3, 0, (2, 1)): 2, Monomial(2, 0, (1, 1)): 1})
+        assert str(s) == "z^2*(v1*v2) + z^3*(2*v1^2*v2)"
 
     def test_json_records_use_decimal_strings(self):
         s = TruncSeries(2, {Monomial(2, 0, (1, 1)): 10**25, Monomial(0, 0, ()): 1})

@@ -109,6 +109,22 @@ class TestLevelSums:
         with pytest.raises(ValueError):
             binom_level_sum(LEAF, 0)
 
+    @given(small_trees())
+    def test_sums_match_per_vertex_levels_read_off_the_word(self, t):
+        from catfrac.util import binom
+
+        levels = []
+        depth = 0
+        for ch in encode(t):
+            if ch == "(":
+                depth += 1
+                levels.append(depth)
+            else:
+                depth -= 1
+        assert level_sum(t) == sum(levels)
+        for k in (1, 2, 3, 4):
+            assert binom_level_sum(t, k) == sum(binom(level - 1, k - 1) for level in levels)
+
 
 class TestCodec:
     def test_bare_root_is_empty(self):
