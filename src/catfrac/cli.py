@@ -18,7 +18,6 @@ from typing import Callable
 from .contfrac import LevelWeights, eval_cf
 from .paths import area, parse_path, path_to_tree, tree_to_path
 from .perms import (
-    Pattern132Error,
     count_increasing,
     format_perm,
     has_132,
@@ -51,31 +50,6 @@ def _parse_weights(token: str) -> LevelWeights:
             raise argparse.ArgumentTypeError("k must be at least 1")
         return LevelWeights.increasing(k)
     raise argparse.ArgumentTypeError(f"unknown weights {token!r}; expected {WEIGHT_TOKENS}")
-
-
-# Stable check ids; each maps to a check routine and its default bounds.
-CHECKS: dict[str, dict] = {
-    "theorem1": {"run": lambda n, k: verify_mod.check_level_census(n), "max_edges": 7, "takes_k": False},
-    "lemma2": {"run": lambda n, k: verify_mod.check_area_formula(n), "max_edges": 10, "takes_k": False},
-    "theorem3": {"run": lambda n, k: verify_mod.check_area_series(n), "max_edges": 8, "takes_k": False},
-    "lemma3": {"run": lambda n, k: verify_mod.check_word_concatenation(n), "max_edges": 8, "takes_k": False},
-    "lemma4": {
-        "run": lambda n, k: verify_mod.check_chain_subsets(n, k_max=k or 4),
-        "max_edges": 7,
-        "takes_k": True,
-    },
-    "theorem5": {
-        "run": lambda n, k: verify_mod.check_pattern_counts(n, k_max=k or 5),
-        "max_edges": 8,
-        "takes_k": True,
-    },
-    "corollary6": {
-        "run": lambda n, k: verify_mod.check_pattern_series(n, ks=(k,) if k else (2, 3, 4)),
-        "max_edges": 8,
-        "takes_k": True,
-    },
-    "bijections": {"run": lambda n, k: verify_mod.check_bijections(n), "max_edges": 8, "takes_k": False},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run an exhaustive cross-check")
-    p_verify.add_argument("--check", choices=sorted(CHECKS), required=True)
+    p_verify.add_argument("--check", choices=sorted(verify_mod.CHECKS), required=True)
     p_verify.add_argument("--max-edges", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
@@ -225,15 +199,15 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    entry = CHECKS[args.check]
-    if args.k is not None and not entry["takes_k"]:
+    run, default_max_edges, takes_k = verify_mod.CHECKS[args.check]
+    if args.k is not None and not takes_k:
         raise ValueError(f"check {args.check!r} does not take --k")
     if args.k is not None and args.k < 1:
         raise ValueError("--k must be at least 1")
-    max_edges = args.max_edges if args.max_edges is not None else entry["max_edges"]
+    max_edges = args.max_edges if args.max_edges is not None else default_max_edges
     if max_edges < 0:
         raise ValueError("--max-edges must be nonnegative")
-    result = entry["run"](max_edges, args.k)
+    result = run(max_edges, args.k)
     if args.json:
         doc = {
             "check": args.check,
@@ -279,9 +253,6 @@ def main(argv=None) -> int:
         return 0
     except TruncationError as exc:
         print(f"error: beyond truncation: {exc}", file=sys.stderr)
-        return 2
-    except Pattern132Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,6 +117,8 @@ def count_increasing(p: Sequence[int], k: int) -> int:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(p)
+    if k > n:
+        return 0
     if k == 1:
         return n
     ending = [1] * n  # subsequences of the current length ending at each index

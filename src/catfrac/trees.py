@@ -27,16 +27,29 @@ class TreeParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class OrderedTree:
+    """Equality, hashing and ``repr`` go through the bracket word, so any depth works."""
+
     children: tuple["OrderedTree", ...] = ()
-    n_edges: int = field(init=False, compare=False, repr=False)
+    n_edges: int = field(init=False)
 
     def __post_init__(self):
         n_edges = len(self.children)
         for c in self.children:
             n_edges += c.n_edges
         object.__setattr__(self, "n_edges", n_edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, OrderedTree):
+            return NotImplemented
+        return encode(self) == encode(other)
+
+    def __hash__(self):
+        return hash(encode(self))
+
+    def __repr__(self):
+        return f"decode({encode(self)!r})"
 
 
 LEAF = OrderedTree()

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
 from .paths import area, area_via_levels, generate_paths, path_to_tree, tree_to_path
 from .perms import (
     ConcatSplit,
-    _contains_132,
     count_increasing,
     enumerate_132_avoiders,
     format_perm,
@@ -62,14 +61,10 @@ def area_polynomial(n: int) -> dict[int, int]:
 def pattern_polynomial_by_scan(n: int, k: int) -> dict[int, int]:
     """{pattern count: permutations} over the (132)-avoiders of length n.
 
-    Scans all n! permutations, keeps the avoiders, and counts their length-k
+    Filters all n! permutations down to the avoiders and counts their length-k
     increasing patterns with the DP counter.  Entirely word-side: no trees.
     """
-    counts: Counter[int] = Counter()
-    for p in permutations(range(1, n + 1)):
-        if not _contains_132(p):
-            counts[count_increasing(p, k)] += 1
-    return dict(counts)
+    return dict(Counter(count_increasing(p, k) for p in enumerate_132_avoiders(n)))
 
 
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
@@ -112,20 +107,33 @@ def check_level_census(max_edges: int) -> CheckResult:
     return result
 
 
-def check_area_formula(max_edges: int) -> CheckResult:
-    """Per tree: path area == C(n+1,2) - level sum."""
-    result = CheckResult("area vs level-sum formula", {"max_edges": max_edges})
+def _scan_trees(result: CheckResult, max_edges: int, compare, detail: str) -> CheckResult:
+    """Run ``compare`` on every tree on at most ``max_edges`` edges.
+
+    ``compare(t)`` yields, for each item it checks, None or a counterexample;
+    each counts once in ``result.checked``.  A counterexample is recorded
+    after an ``n=`` prefix, and the scan stops once enough are collected.
+    After the trees on n edges, the line ``n=<n> <detail>`` is added.
+    """
     for n in range(max_edges + 1):
         for t in generate_trees(n):
-            result.checked += 1
-            if area(tree_to_path(t)) != area_via_levels(t):
-                if not result.fail(
-                    f"n={n} tree={encode(t)!r} area={area(tree_to_path(t))} "
-                    f"formula={area_via_levels(t)}"
-                ):
+            for failure in compare(t):
+                result.checked += 1
+                if failure is not None and not result.fail(f"n={n} {failure}"):
                     return result
-        result.detail_lines.append(f"n={n} trees checked")
+        result.detail_lines.append(f"n={n} {detail}")
     return result
+
+
+def check_area_formula(max_edges: int) -> CheckResult:
+    """Per tree: path area == C(n+1,2) - level sum."""
+
+    def compare(t):
+        by_path, by_levels = area(tree_to_path(t)), area_via_levels(t)
+        yield None if by_path == by_levels else f"tree={encode(t)!r} area={by_path} formula={by_levels}"
+
+    result = CheckResult("area vs level-sum formula", {"max_edges": max_edges})
+    return _scan_trees(result, max_edges, compare, "trees checked")
 
 
 def check_area_series(max_edges: int) -> CheckResult:
@@ -145,67 +153,55 @@ def check_area_series(max_edges: int) -> CheckResult:
 
 def check_word_concatenation(max_edges: int) -> CheckResult:
     """tree_to_perm == block-by-block reconstruction from the subtree words."""
+
+    def compare(t):
+        split, direct = ConcatSplit.from_tree(t), tree_to_perm(t)
+        ok = split.word() == direct and split.offsets[-1] == 0
+        yield None if ok else f"tree={encode(t)!r} split={split.word()} direct={direct}"
+
     result = CheckResult("word concatenation recursion", {"max_edges": max_edges})
-    for n in range(max_edges + 1):
-        for t in generate_trees(n):
-            result.checked += 1
-            split = ConcatSplit.from_tree(t)
-            if split.word() != tree_to_perm(t) or split.offsets[-1] != 0:
-                if not result.fail(
-                    f"n={n} tree={encode(t)!r} split={split.word()} "
-                    f"direct={tree_to_perm(t)}"
-                ):
-                    return result
-        result.detail_lines.append(f"n={n} trees checked")
-    return result
+    return _scan_trees(result, max_edges, compare, "trees checked")
 
 
-def check_chain_subsets(max_edges: int, k_max: int = 4) -> CheckResult:
+def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
     """Increasing-pattern value sets == root-to-leaf label sets (as sets)."""
+
+    def compare(t):
+        word = tree_to_perm(t)
+        for k in range(1, k_max + 1):
+            patterns = increasing_pattern_subsets(word, k)
+            chains = root_to_leaf_subsets(t, k)
+            yield None if patterns == chains else (
+                f"k={k} tree={encode(t)!r} patterns={sorted(map(sorted, patterns))} "
+                f"chains={sorted(map(sorted, chains))}"
+            )
+
     result = CheckResult(
         "increasing subsets vs ancestor chains", {"max_edges": max_edges, "k_max": k_max}
     )
-    for n in range(max_edges + 1):
-        for t in generate_trees(n):
-            word = tree_to_perm(t)
-            for k in range(1, k_max + 1):
-                result.checked += 1
-                patterns = increasing_pattern_subsets(word, k)
-                chains = root_to_leaf_subsets(t, k)
-                if patterns != chains:
-                    if not result.fail(
-                        f"n={n} k={k} tree={encode(t)!r} patterns={sorted(map(sorted, patterns))} "
-                        f"chains={sorted(map(sorted, chains))}"
-                    ):
-                        return result
-        result.detail_lines.append(f"n={n} trees checked for k <= {k_max}")
-    return result
+    return _scan_trees(result, max_edges, compare, f"trees checked for k <= {k_max}")
 
 
-def check_pattern_counts(max_edges: int, k_max: int = 5) -> CheckResult:
+def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
     """DP pattern count == level formula == ancestor-chain subset count."""
+
+    def compare(t):
+        word = tree_to_perm(t)
+        for k in range(1, k_max + 1):
+            by_word = count_increasing(word, k)
+            by_levels = binom_level_sum(t, k)
+            by_chains = root_to_leaf_subset_count(t, k)
+            yield None if by_word == by_levels == by_chains else (
+                f"k={k} tree={encode(t)!r} word={by_word} levels={by_levels} chains={by_chains}"
+            )
+
     result = CheckResult(
         "pattern counts vs level formula", {"max_edges": max_edges, "k_max": k_max}
     )
-    for n in range(max_edges + 1):
-        for t in generate_trees(n):
-            word = tree_to_perm(t)
-            for k in range(1, k_max + 1):
-                result.checked += 1
-                by_word = count_increasing(word, k)
-                by_levels = binom_level_sum(t, k)
-                by_chains = root_to_leaf_subset_count(t, k)
-                if not (by_word == by_levels == by_chains):
-                    if not result.fail(
-                        f"n={n} k={k} tree={encode(t)!r} word={by_word} "
-                        f"levels={by_levels} chains={by_chains}"
-                    ):
-                        return result
-        result.detail_lines.append(f"n={n} trees checked for k <= {k_max}")
-    return result
+    return _scan_trees(result, max_edges, compare, f"trees checked for k <= {k_max}")
 
 
-def check_pattern_series(max_edges: int, ks: tuple[int, ...] = (2, 3, 4)) -> CheckResult:
+def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     """Tree census of the level formula == increasing-pattern preset series."""
     result = CheckResult(
         "pattern-count census vs series", {"max_edges": max_edges, "ks": list(ks)}
@@ -264,3 +260,18 @@ def check_bijections(max_edges: int) -> CheckResult:
         else:
             result.detail_lines.append(f"n={n} trees={count} (avoider scan skipped)")
     return result
+
+
+# Stable check ids: (routine of (max_edges, k or None), default max_edges, whether k applies).
+# The routines look the checks up by module name at call time, so a rebound
+# ``check_*`` attribute is the one that runs.
+CHECKS: dict[str, tuple[Callable[[int, int | None], CheckResult], int, bool]] = {
+    "theorem1": (lambda n, k: check_level_census(n), 7, False),
+    "lemma2": (lambda n, k: check_area_formula(n), 10, False),
+    "theorem3": (lambda n, k: check_area_series(n), 8, False),
+    "lemma3": (lambda n, k: check_word_concatenation(n), 8, False),
+    "lemma4": (lambda n, k: check_chain_subsets(n, k or 4), 7, True),
+    "theorem5": (lambda n, k: check_pattern_counts(n, k or 5), 8, True),
+    "corollary6": (lambda n, k: check_pattern_series(n, (k,) if k else (2, 3, 4)), 8, True),
+    "bijections": (lambda n, k: check_bijections(n), 8, False),
+}

@@ -185,7 +185,7 @@ class TestVerifyCommand:
     def test_pass_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "theorem5", "--max-edges", "6", "--k", "3")
         assert code == 0
-        assert out.splitlines()[-1].startswith("PASS theorem5")
+        assert out.splitlines()[-1] == "PASS theorem5 (checked 591)"
 
     def test_every_check_runs_small(self, capsys):
         for check in ("theorem1", "lemma2", "theorem3", "lemma3", "lemma4", "theorem5", "corollary6", "bijections"):
@@ -272,6 +272,7 @@ DEEP_INPUTS = """
 import contextlib, io, sys
 from math import comb
 from catfrac import cli
+from catfrac.paths import parse_path, path_to_tree
 from catfrac.trees import binom_level_sum, decode, level_profile, level_sum
 
 n = 10_000
@@ -291,6 +292,10 @@ for shape, enc in shapes.items():
                     code = cli.main(["map", "--from", src, "--to", dst, enc[src]])
                 assert (code, out.getvalue()) == (0, enc[dst] + "\\n"), (shape, src, dst)
 chain = decode(shapes["chain"]["tree"])
+same = path_to_tree(parse_path(shapes["chain"]["path"]))
+assert same is not chain and same == chain and hash(same) == hash(chain)
+assert chain != decode(shapes["star"]["tree"])
+assert repr(chain) == "decode(%r)" % shapes["chain"]["tree"]
 assert level_profile(chain) == (1,) * n
 assert level_sum(chain) == comb(n + 1, 2)
 assert binom_level_sum(chain, 3) == comb(n, 3)

@@ -110,6 +110,7 @@ class TestCountIncreasing:
 
     def test_k_beyond_length(self):
         assert count_increasing((2, 1), 3) == 0
+        assert count_increasing((2, 1), 10**9) == 0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from catfrac import verify
@@ -97,16 +103,66 @@ class TestCheckResult:
         assert any("avoider scan skipped" in line for line in result.detail_lines)
 
 
+class TestEarlyStop:
+    def test_area_formula_stops_after_five_failures(self, monkeypatch):
+        monkeypatch.setattr(verify, "area_via_levels", lambda t: -1)
+        result = verify.check_area_formula(4)
+        assert result.ok is False
+        assert result.failures == [
+            "n=0 tree='' area=0 formula=-1",
+            "n=1 tree='()' area=0 formula=-1",
+            "n=2 tree='()()' area=1 formula=-1",
+            "n=2 tree='(())' area=0 formula=-1",
+            "n=3 tree='()()()' area=3 formula=-1",
+        ]
+        assert result.checked == 5
+        assert result.detail_lines == ["n=0 trees checked", "n=1 trees checked", "n=2 trees checked"]
+
+    def test_pattern_counts_stops_after_five_failures(self, monkeypatch):
+        monkeypatch.setattr(verify, "binom_level_sum", lambda t, k: -1)
+        result = verify.check_pattern_counts(3, k_max=2)
+        assert result.ok is False
+        assert result.failures == [
+            "n=0 k=1 tree='' word=0 levels=-1 chains=0",
+            "n=0 k=2 tree='' word=0 levels=-1 chains=0",
+            "n=1 k=1 tree='()' word=1 levels=-1 chains=1",
+            "n=1 k=2 tree='()' word=0 levels=-1 chains=0",
+            "n=2 k=1 tree='()()' word=2 levels=-1 chains=2",
+        ]
+        assert result.checked == 5
+        assert result.detail_lines == ["n=0 trees checked for k <= 2", "n=1 trees checked for k <= 2"]
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class TestTracedRun:
+    def test_trace_sees_the_check_and_keeps_stdout(self):
+        argv = ["verify", "--check", "theorem5", "--max-edges", "3", "--k", "2"]
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def run(*cmd):
+            return subprocess.run([sys.executable, *cmd, *argv], capture_output=True, text=True, env=env, cwd=REPO)
+
+        plain = run("-m", "catfrac")
+        traced = run("perfbench/trace_op.py")
+        assert traced.returncode == plain.returncode == 0, traced.stderr[-2000:]
+        assert traced.stdout == plain.stdout
+        marker = "PERFBENCH-TRACE "
+        line = next(x for x in traced.stderr.splitlines() if x.startswith(marker))
+        stat = json.loads(line[len(marker):])["verify.check_pattern_counts"]
+        assert (stat["calls"], stat["checked"]) == (1, 18)
+
+
 class TestCliFailurePath:
     def test_failing_check_exits_1_and_dumps_counterexample(self, capsys, monkeypatch):
-        from catfrac import cli
-
         def broken(n, k):
             result = CheckResult("forced failure", {"max_edges": n})
             result.fail("n=2 tree='()()' expected=1 got=0")
             return result
 
-        monkeypatch.setitem(cli.CHECKS, "lemma2", {"run": broken, "max_edges": 4, "takes_k": False})
+        monkeypatch.setitem(verify.CHECKS, "lemma2", (broken, 4, False))
         code = main(["verify", "--check", "lemma2"])
         out = capsys.readouterr().out
         assert code == 1
@@ -114,16 +170,12 @@ class TestCliFailurePath:
         assert out.splitlines()[-1].startswith("FAIL lemma2")
 
     def test_failing_check_json(self, capsys, monkeypatch):
-        import json
-
-        from catfrac import cli
-
         def broken(n, k):
             result = CheckResult("forced failure", {"max_edges": n})
             result.fail("counterexample")
             return result
 
-        monkeypatch.setitem(cli.CHECKS, "theorem1", {"run": broken, "max_edges": 4, "takes_k": False})
+        monkeypatch.setitem(verify.CHECKS, "theorem1", (broken, 4, False))
         code = main(["verify", "--check", "theorem1", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
