@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .trees import OrderedTree, decode, encode, level_sum
+from .trees import OrderedTree, decode, encode, generate_trees, level_sum
 from .util import binom
 
 
@@ -104,22 +104,9 @@ def area_via_levels(t: OrderedTree) -> int:
 
 
 def generate_paths(n: int) -> Iterator[DyckPath]:
-    """All Dyck paths of semilength n, generated directly from the step grammar.
+    """All Dyck paths of semilength n: the tree generator's words, read as steps.
 
-    Independent of the tree generator: uses the first-return factorization
-    word = E u N v with u, v smaller Dyck words.
+    Same order as ``generate_trees`` (first-return factorization word = E u N v).
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    for word in _words(n):
-        yield DyckPath(word)
-
-
-def _words(n: int) -> Iterator[str]:
-    if n == 0:
-        yield ""
-        return
-    for i in range(n):
-        for u in _words(i):
-            for v in _words(n - 1 - i):
-                yield "E" + u + "N" + v
+    for t in generate_trees(n):
+        yield tree_to_path(t)

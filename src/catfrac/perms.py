@@ -201,10 +201,10 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
     Raises Pattern132Error (with a witnessing triple) on words containing a
     (132) pattern and ValueError on non-permutation input.
 
-    Decoding: the word lists each vertex right after its subtree.  When a
-    vertex's label is read, the finished subtrees on the stack are rooted at
-    its children, which carry smaller labels, and below them at earlier
-    siblings of the vertex or of its ancestors, which carry larger ones.
+    Decoding writes the bracket word: the word lists each vertex right after
+    its subtree, and preorder opens every larger label before a vertex, so
+    when label x is read, '(' is written for each label not yet opened down
+    to x, then ')' closes x.
     """
     word = validate_perm(p)
     witness = has_132(word)
@@ -214,17 +214,14 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
 
 
 def _decode_avoider(w: PermWord) -> OrderedTree:
-    roots: list[int] = []  # root labels of the finished subtrees on the stack
-    subtrees: list[OrderedTree] = []
+    parts: list[str] = []
+    next_label = len(w)  # preorder opens the labels n, n-1, ..., 1
     for label in w:
-        start = len(roots)
-        while start and roots[start - 1] < label:
-            start -= 1
-        children = tuple(subtrees[start:])
-        del roots[start:], subtrees[start:]
-        roots.append(label)
-        subtrees.append(OrderedTree(children))
-    return OrderedTree(tuple(subtrees))
+        while next_label >= label:
+            parts.append("(")
+            next_label -= 1
+        parts.append(")")
+    return OrderedTree("".join(parts))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,19 @@
 """Ordered (plane) trees: generation, level statistics, balanced-parentheses codec.
 
-A tree is a root with an ordered tuple of child subtrees; the left-to-right
+A tree is a root with an ordered sequence of child subtrees; the left-to-right
 order matters.  The root sits at level 0, so a tree on n edges has n nonroot
 vertices at levels >= 1.
 
-Only two functions walk a tree below its root's children: ``encode``, whose
-word is the preorder stream of descents '(' and ascents ')', and
-``level_profile``, which walks level by level.  Every other codec and
-statistic in the package reads one of their outputs, and neither recurses,
-so trees of any depth work.
+The word is the tree: an ``OrderedTree`` stores only its bracket word, the
+preorder stream of descents '(' and ascents ')'.  The generator builds words,
+``decode`` is the one parser, and every codec and statistic in the package is
+a scan of the word.  Nothing recurses on a tree's depth, so trees of any
+depth work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .util import binom
 
@@ -27,48 +26,68 @@ class TreeParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class OrderedTree:
-    """Equality, hashing and ``repr`` go through the bracket word, so any depth works."""
+    """An immutable tree held as its bracket word; build one from text with ``decode``.
 
-    children: tuple["OrderedTree", ...] = ()
-    n_edges: int = field(init=False)
+    The constructor trusts its word to be balanced; ``decode`` is the one
+    place that checks.  Equality, hashing and ``repr`` are string operations.
+    """
 
-    def __post_init__(self):
-        n_edges = len(self.children)
-        for c in self.children:
-            n_edges += c.n_edges
-        object.__setattr__(self, "n_edges", n_edges)
+    __slots__ = ("_word",)
+
+    def __init__(self, word: str = ""):
+        if not isinstance(word, str):
+            raise TypeError(f"OrderedTree takes a bracket word, not {type(word).__name__}")
+        self._word = word
+
+    @property
+    def word(self) -> str:
+        return self._word
 
     def __eq__(self, other):
         if not isinstance(other, OrderedTree):
             return NotImplemented
-        return encode(self) == encode(other)
+        return self.word == other.word
 
     def __hash__(self):
-        return hash(encode(self))
+        return hash(self.word)
 
     def __repr__(self):
-        return f"decode({encode(self)!r})"
+        return f"decode({self.word!r})"
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.word) // 2
+
+    @property
+    def children(self) -> tuple[OrderedTree, ...]:
+        """The root's subtrees, cut out of the word at its returns to depth 0."""
+        word = self.word
+        out = []
+        depth = start = 0
+        for pos, ch in enumerate(word):
+            depth += 1 if ch == "(" else -1
+            if depth == 0:
+                out.append(OrderedTree(word[start + 1 : pos]))
+                start = pos + 1
+        return tuple(out)
 
 
 LEAF = OrderedTree()
 
-# Trees up to this edge count are kept as shared tuples; larger sizes stream.
+# Words up to this edge count are kept as shared tuples; larger sizes stream.
 _CACHE_MAX = 11
-_cache: dict[int, tuple[OrderedTree, ...]] = {0: (LEAF,)}
+_cache: dict[int, tuple[str, ...]] = {0: ("",)}
 
 
-def _cached(n: int) -> tuple[OrderedTree, ...]:
-    if n not in _cache:
-        out = []
-        for i in range(n):
-            rests = _cached(n - 1 - i)
-            for first in _cached(i):
-                for rest in rests:
-                    out.append(OrderedTree((first,) + rest.children))
-        _cache[n] = tuple(out)
-    return _cache[n]
+def _words(n: int) -> Iterable[str]:
+    """Words of every tree on n edges by first return, "(" + u + ")" + v."""
+    if n in _cache:
+        return _cache[n]
+    words = (f"({u}){v}" for i in range(n) for u in _words(i) for v in _words(n - 1 - i))
+    if n <= _CACHE_MAX:
+        words = _cache[n] = tuple(words)
+    return words
 
 
 def generate_trees(n: int) -> Iterator[OrderedTree]:
@@ -81,22 +100,21 @@ def generate_trees(n: int) -> Iterator[OrderedTree]:
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    if n <= _CACHE_MAX:
-        yield from _cached(n)
-        return
-    for i in range(n):
-        for first in generate_trees(i):
-            for rest in generate_trees(n - 1 - i):
-                yield OrderedTree((first,) + rest.children)
+    yield from map(OrderedTree, _words(n))
 
 
 def level_profile(t: OrderedTree) -> tuple[int, ...]:
     """counts[k-1] = number of vertices at level k; empty for the bare root."""
     counts: list[int] = []
-    frontier = t.children
-    while frontier:
-        counts.append(len(frontier))
-        frontier = [c for node in frontier for c in node.children]
+    depth = 0
+    for ch in t.word:
+        if ch == "(":
+            if depth == len(counts):
+                counts.append(0)
+            counts[depth] += 1
+            depth += 1
+        else:
+            depth -= 1
     return tuple(counts)
 
 
@@ -114,33 +132,21 @@ def binom_level_sum(t: OrderedTree, k: int) -> int:
 
 def encode(t: OrderedTree) -> str:
     """Balanced parentheses: '(' on preorder descent, ')' on ascent; root is ''."""
-    parts: list[str] = []
-    stack = [iter(t.children)]  # per open vertex, its children not yet visited
-    while stack:
-        for child in stack[-1]:
-            parts.append("(")
-            stack.append(iter(child.children))
-            break
-        else:
-            stack.pop()
-            parts.append(")")
-    parts.pop()  # the ')' written when the root's children ran out: the root has no '('
-    return "".join(parts)
+    return t.word
 
 
 def decode(s: str) -> OrderedTree:
     """Inverse of encode; rejects unbalanced or alien input with its position."""
-    stack: list[list[OrderedTree]] = [[]]
+    depth = 0
     for pos, ch in enumerate(s):
         if ch == "(":
-            stack.append([])
+            depth += 1
         elif ch == ")":
-            if len(stack) == 1:
+            if depth == 0:
                 raise TreeParseError("unmatched ')'", pos)
-            kids = stack.pop()
-            stack[-1].append(OrderedTree(tuple(kids)))
+            depth -= 1
         else:
             raise TreeParseError(f"unexpected character {ch!r}", pos)
-    if len(stack) > 1:
+    if depth:
         raise TreeParseError("unclosed '('", len(s))
-    return OrderedTree(tuple(stack[0]))
+    return OrderedTree(s)

@@ -22,6 +22,25 @@ def small_trees(draw, max_edges=8):
 
 
 @st.composite
+def random_dyck_words(draw, max_edges):
+    """A uniform random bracket word on at most max_edges edges.
+
+    Cycle lemma: of the rotations of a shuffled word with n '(' and n + 1
+    ')', the one starting just after the first minimum prefix sum is a Dyck
+    word followed by one extra ')'.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_edges))
+    steps = ["("] * n + [")"] * (n + 1)
+    draw(st.randoms(use_true_random=False)).shuffle(steps)
+    height = low = start = 0
+    for i, ch in enumerate(steps):
+        height += 1 if ch == "(" else -1
+        if height < low:
+            low, start = height, i + 1
+    return "".join(steps[start:] + steps[:start])[:-1]
+
+
+@st.composite
 def zq_monomials(draw, max_z=4, min_z=0):
     z = draw(st.integers(min_value=min_z, max_value=max_z))
     q = draw(st.integers(min_value=0, max_value=4))

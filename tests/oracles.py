@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles with
 deliberately naive algorithms, separate from the package's implementations:
 the Catalan recurrence, triple scans for patterns, subset scans for counts,
 a prefix-feasibility Dyck word generator (the package uses the
-first-return factorization instead), the continued fraction by bottom-up
+first-return factorization instead; ``first_return_words`` only pins the
+order the package lists trees in), the continued fraction by bottom-up
 series inversion (the package uses a path DP), and the area polynomials by
 a first-subtree recurrence.
 """
@@ -53,6 +54,14 @@ def dyck_words(n):
             yield from rec(e_left, n_left - 1, prefix + "N")
 
     yield from rec(n, n, "")
+
+
+def first_return_words(n):
+    """Bracket words on n edges in canonical order: "(" + u + ")" + v by the edge count of u."""
+    words = [[""]]
+    for m in range(1, n + 1):
+        words.append(["(" + u + ")" + v for i in range(m) for u in words[i] for v in words[m - 1 - i]])
+    return words[n]
 
 
 def column_area(word):

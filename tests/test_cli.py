@@ -7,6 +7,8 @@ import pytest
 from catfrac import cli
 from catfrac.cli import main
 
+from oracles import first_return_words
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -107,6 +109,11 @@ class TestEnumerateCommand:
             {"tree": "()()", "profile": [2], "level_sum": 2, "area": 1, "perm": [2, 1]},
             {"tree": "(())", "profile": [1, 1], "level_sum": 3, "area": 0, "perm": [1, 2]},
         ]
+
+    def test_order_is_the_first_return_listing(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--edges", "8")
+        assert code == 0
+        assert out == "".join(w + "\n" for w in first_return_words(8))
 
     def test_zero_edges(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--edges", "0")
@@ -266,8 +273,7 @@ class TestEntryPoint:
 
 
 # Runs in a fresh interpreter whose recursion limit is far below the input
-# depth, so any recursive walk over a tree fails here.  Trees are compared
-# through their encodings: the dataclass __eq__ itself recurses.
+# depth, so any recursive walk over a tree fails here.
 DEEP_INPUTS = """
 import contextlib, io, sys
 from math import comb
@@ -294,7 +300,11 @@ for shape, enc in shapes.items():
 chain = decode(shapes["chain"]["tree"])
 same = path_to_tree(parse_path(shapes["chain"]["path"]))
 assert same is not chain and same == chain and hash(same) == hash(chain)
-assert chain != decode(shapes["star"]["tree"])
+star = decode(shapes["star"]["tree"])
+assert chain != star
+assert len(star.children) == n and set(star.children) == {decode("")}
+(only_child,) = chain.children
+assert only_child.n_edges == n - 1 and only_child == decode("(" * (n - 1) + ")" * (n - 1))
 assert repr(chain) == "decode(%r)" % shapes["chain"]["tree"]
 assert level_profile(chain) == (1,) * n
 assert level_sum(chain) == comb(n + 1, 2)

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+
+from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
     LEAF,
     OrderedTree,
@@ -13,7 +16,7 @@ from catfrac.trees import (
     level_sum,
 )
 
-from conftest import small_trees
+from conftest import random_dyck_words, small_trees
 from oracles import catalan_table
 
 CHAIN3 = decode("((()))")
@@ -36,6 +39,13 @@ class TestGeneration:
         for n in range(8):
             trees = list(generate_trees(n))
             assert len(set(trees)) == len(trees)
+
+    def test_canonical_order_at_four_edges(self):
+        assert [encode(t) for t in generate_trees(4)] == [
+            "()()()()", "()()(())", "()(())()", "()(()())", "()((()))",
+            "(())()()", "(())(())", "(()())()", "((()))()",
+            "(()()())", "(()(()))", "((())())", "((()()))", "(((())))",
+        ]
 
     def test_order_is_stable_across_calls(self):
         assert list(generate_trees(6)) == list(generate_trees(6))
@@ -171,7 +181,38 @@ class TestOrderedTree:
     def test_n_edges(self):
         assert LEAF.n_edges == 0
         assert CHAIN3.n_edges == 3
-        assert OrderedTree((LEAF, CHAIN3)).n_edges == 5
+        assert decode("()(((())))").n_edges == 5
 
     def test_structural_equality(self):
-        assert decode("()()") == OrderedTree((LEAF, LEAF))
+        assert decode("()()").children == (LEAF, LEAF)
+        assert decode("()(((())))").children == (LEAF, CHAIN3)
+
+    def test_non_string_argument_rejected(self):
+        with pytest.raises(TypeError):
+            OrderedTree((LEAF, CHAIN3))
+
+    def test_word_cannot_be_reassigned(self):
+        with pytest.raises(AttributeError):
+            CHAIN3.word = "()"
+        with pytest.raises(AttributeError):
+            del CHAIN3.word
+        assert encode(CHAIN3) == "((()))"
+
+
+class TestRandomDeepWords:
+    @settings(max_examples=40, deadline=None)
+    @given(random_dyck_words(max_edges=2000))
+    def test_word_children_levels_and_perm_round_trip(self, w):
+        t = decode(w)
+        assert t.word == w
+        assert "".join("(" + encode(c) + ")" for c in t.children) == w
+        per_level = Counter()
+        depth = 0
+        for ch in w:
+            if ch == "(":
+                depth += 1
+                per_level[depth] += 1
+            else:
+                depth -= 1
+        assert level_profile(t) == tuple(per_level[level] for level in range(1, len(per_level) + 1))
+        assert perm_to_tree(tree_to_perm(t)) == t

@@ -151,8 +151,12 @@ class TestTracedRun:
         assert traced.stdout == plain.stdout
         marker = "PERFBENCH-TRACE "
         line = next(x for x in traced.stderr.splitlines() if x.startswith(marker))
-        stat = json.loads(line[len(marker):])["verify.check_pattern_counts"]
+        report = json.loads(line[len(marker):])
+        stat = report["verify.check_pattern_counts"]
         assert (stat["calls"], stat["checked"]) == (1, 18)
+        # every name the tracer wraps must still resolve, the generators included
+        assert "paths.generate_paths" in report and "trees.encode" in report
+        assert report["trees.generate_trees"]["items"] == sum(catalan_table(3))
 
 
 class TestCliFailurePath:
