@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-edges", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.epilog = "the avoider-set scan inside 'bijections' is capped at n=10"
+    p_verify.epilog = (
+        f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"
+    )
 
     return parser
 
@@ -207,6 +209,9 @@ def cmd_verify(args) -> int:
     max_edges = args.max_edges if args.max_edges is not None else default_max_edges
     if max_edges < 0:
         raise ValueError("--max-edges must be nonnegative")
+    # Past this bound every side of every check is 0, so the items check nothing.
+    if args.k is not None and args.k > max(max_edges, 1):
+        raise ValueError(f"--k must be at most {max(max_edges, 1)} for --max-edges {max_edges}")
     result = run(max_edges, args.k)
     if args.json:
         doc = {

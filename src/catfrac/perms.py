@@ -135,46 +135,28 @@ def count_increasing(p: Sequence[int], k: int) -> int:
     return sum(ending)
 
 
-def _label_table(t: OrderedTree) -> tuple[list[int], dict[int, int]]:
-    """Preorder labels with levels and parent labels (root = label 0).
+def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
+    """Label sets of k nonroot vertices lying along one root-to-leaf path.
 
-    Returns (levels_by_label, parent_by_label) where levels_by_label[label]
-    is the level of that vertex; index 0 is the root at level 0.
+    Read off the bracket word: at each '(' the open labels are exactly the
+    nonroot ancestors of the vertex being opened, so the chains whose
+    deepest vertex it is are that label plus any k-1 open labels.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    out: set[frozenset[int]] = set()
+    if k > t.n_edges:
+        # combinations() allocates k indices before it notices k > len(pool).
+        return out
+    open_labels: list[int] = []
     label = t.n_edges
-    levels = [0] * (label + 1)
-    parent = {0: 0}
-    open_labels = [0]
     for ch in encode(t):
         if ch == "(":
-            levels[label] = len(open_labels)
-            parent[label] = open_labels[-1]
+            out.update(frozenset((label, *above)) for above in combinations(open_labels, k - 1))
             open_labels.append(label)
             label -= 1
         else:
             open_labels.pop()
-    return levels, parent
-
-
-def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
-    """Label sets of k nonroot vertices lying along one root-to-leaf path.
-
-    Checked directly from the ancestor relation: sorted by level, each
-    consecutive pair must be ancestor and descendant.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    levels, parent = _label_table(t)
-    n = t.n_edges
-    ancestors: dict[int, set[int]] = {0: set()}
-    # Labels in decreasing order follow preorder, so parents are processed first.
-    for label in range(n, 0, -1):
-        ancestors[label] = ancestors[parent[label]] | {parent[label]}
-    out: set[frozenset[int]] = set()
-    for combo in combinations(range(1, n + 1), k):
-        chain = sorted(combo, key=lambda lab: levels[lab])
-        if all(chain[i] in ancestors[chain[i + 1]] for i in range(k - 1)):
-            out.add(frozenset(combo))
     return out
 
 
@@ -187,9 +169,10 @@ def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
     """Value sets that occur as a length-k increasing pattern (naive subset scan)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = len(p)
     out: set[frozenset[int]] = set()
-    for idxs in combinations(range(n), k):
+    if k > len(p):
+        return out
+    for idxs in combinations(range(len(p)), k):
         if all(p[idxs[i]] < p[idxs[i + 1]] for i in range(k - 1)):
             out.add(frozenset(p[i] for i in idxs))
     return out

@@ -58,15 +58,6 @@ def area_polynomial(n: int) -> dict[int, int]:
     return dict(Counter(area(p) for p in generate_paths(n)))
 
 
-def pattern_polynomial_by_scan(n: int, k: int) -> dict[int, int]:
-    """{pattern count: permutations} over the (132)-avoiders of length n.
-
-    Filters all n! permutations down to the avoiders and counts their length-k
-    increasing patterns with the DP counter.  Entirely word-side: no trees.
-    """
-    return dict(Counter(count_increasing(p, k) for p in enumerate_132_avoiders(n)))
-
-
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
     """{level profile: trees} over all ordered trees on n edges."""
     return dict(Counter(level_profile(t) for t in generate_trees(n)))

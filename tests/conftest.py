@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import generate_trees
 from oracles import catalan_table
+
+# Child interpreters find the package in this checkout, installed or not.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 _CATALAN = catalan_table(10)
 _TREE_LISTS = {n: list(generate_trees(n)) for n in range(9)}

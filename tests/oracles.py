@@ -7,9 +7,16 @@ a prefix-feasibility Dyck word generator (the package uses the
 first-return factorization instead; ``first_return_words`` only pins the
 order the package lists trees in), the continued fraction by bottom-up
 series inversion (the package uses a path DP), and the area polynomials by
-a first-subtree recurrence.
+a first-subtree recurrence.  Root-to-leaf chains are found by filtering
+all C(n, k) label sets through an ancestor table built from ``children``
+(the package reads them off the open-label stack of the bracket word).
+
+``pattern_polynomial_by_scan`` is the exception: it is built on the
+package's ``enumerate_132_avoiders`` (the n!-filter) and ``count_increasing``
+(the DP counter), and is checked against the triple and subset scans here.
 """
 
+from collections import Counter
 from itertools import combinations
 
 
@@ -39,6 +46,44 @@ def naive_count_increasing(p, k):
         for idxs in combinations(range(len(p)), k)
         if all(p[idxs[i]] < p[idxs[i + 1]] for i in range(k - 1))
     )
+
+
+def pattern_polynomial_by_scan(n, k):
+    """{pattern count: permutations} over the (132)-avoiders of length n.
+
+    Filters all n! permutations down to the avoiders and counts their length-k
+    increasing patterns with the DP counter.  Entirely word-side: no trees.
+    """
+    from catfrac.perms import count_increasing, enumerate_132_avoiders
+
+    return dict(Counter(count_increasing(p, k) for p in enumerate_132_avoiders(n)))
+
+
+def chain_subsets_by_filter(t, k):
+    """k-sets of nonroot labels on one root-to-leaf path, by filtering all C(n, k) sets.
+
+    Labels n, n-1, ..., 1 go to the nonroot vertices in preorder, as in
+    ``tree_to_perm``.  A set is kept when, sorted by level, each label is an
+    ancestor of the next.
+    """
+    level, ancestors = {}, {}
+    next_label = t.n_edges
+
+    def walk(node, depth, above):
+        nonlocal next_label
+        for child in node.children:
+            label = next_label
+            next_label -= 1
+            level[label], ancestors[label] = depth + 1, above
+            walk(child, depth + 1, above | {label})
+
+    walk(t, 0, frozenset())
+    out = set()
+    for combo in combinations(range(1, t.n_edges + 1), k):
+        chain = sorted(combo, key=level.__getitem__)
+        if all(chain[i] in ancestors[chain[i + 1]] for i in range(k - 1)):
+            out.add(frozenset(combo))
+    return out
 
 
 def dyck_words(n):

@@ -21,9 +21,9 @@ from catfrac.perms import (
 from catfrac.series import Monomial
 from catfrac.trees import binom_level_sum, generate_trees, level_profile, level_sum
 from catfrac.util import binom
-from catfrac.verify import area_polynomial, pattern_polynomial_by_scan, z_slice_q
+from catfrac.verify import area_polynomial, z_slice_q
 
-from oracles import area_polynomials, catalan_table, reference_eval_cf
+from oracles import area_polynomials, catalan_table, pattern_polynomial_by_scan, reference_eval_cf
 
 
 def report(number, name, ok, note=""):

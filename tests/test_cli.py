@@ -7,6 +7,7 @@ import pytest
 from catfrac import cli
 from catfrac.cli import main
 
+from conftest import CHILD_ENV
 from oracles import first_return_words
 
 
@@ -212,6 +213,26 @@ class TestVerifyCommand:
         assert code == 2
         assert "does not take --k" in err
 
+    def test_k_beyond_max_edges_exits_2_at_once(self):
+        for check in ("lemma4", "theorem5", "corollary6"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "catfrac", "verify", "--check", check, "--max-edges", "3", "--k", "1000000000"],
+                capture_output=True,
+                text=True,
+                env=CHILD_ENV,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (2, ""), check
+            assert proc.stderr == "error: --k must be at most 3 for --max-edges 3\n"
+
+    def test_k_bound_is_max_edges_or_one(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--check", "lemma4", "--max-edges", "3", "--k", "3")
+        assert code == 0 and out.splitlines()[-1] == "PASS lemma4 (checked 27)"
+        code, out, _ = run_cli(capsys, "verify", "--check", "theorem5", "--max-edges", "0", "--k", "1")
+        assert code == 0 and out.splitlines()[-1] == "PASS theorem5 (checked 1)"
+        code, _, err = run_cli(capsys, "verify", "--check", "theorem5", "--max-edges", "0", "--k", "2")
+        assert code == 2 and err == "error: --k must be at most 1 for --max-edges 0\n"
+
     def test_unknown_check_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--check", "bogus"])
@@ -254,6 +275,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "catfrac", "map", "--from", "tree", "--to", "perm", "((()))"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 2 3\n"
@@ -264,6 +286,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "catfrac", "enumerate", "--edges", "10"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=CHILD_ENV,
         )
         assert proc.stdout.readline() == b"()()()()()()()()()()\n"
         proc.stdout.close()
@@ -315,6 +338,6 @@ assert chain.n_edges == n
 
 class TestDeepInputs:
     def test_ten_thousand_edges_under_a_low_recursion_limit(self):
-        proc = subprocess.run([sys.executable, "-c", DEEP_INPUTS], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", DEEP_INPUTS], capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stderr == ""

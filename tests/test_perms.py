@@ -20,7 +20,7 @@ from catfrac.perms import (
 from catfrac.trees import LEAF, binom_level_sum, decode, generate_trees
 
 from conftest import small_trees
-from oracles import catalan_table, naive_count_increasing, naive_has_132
+from oracles import catalan_table, chain_subsets_by_filter, naive_count_increasing, naive_has_132
 
 CHAIN3 = decode("((()))")
 STAR3 = decode("()()()")
@@ -227,6 +227,23 @@ class TestTreePatternStatistics:
     @given(small_trees(max_edges=6), st.integers(min_value=1, max_value=4))
     def test_subsets_match_as_sets(self, t, k):
         assert increasing_pattern_subsets(tree_to_perm(t), k) == root_to_leaf_subsets(t, k)
+
+    def test_subsets_match_the_filter_oracle(self):
+        for n in range(9):
+            for t in generate_trees(n):
+                for k in range(1, 7):
+                    assert root_to_leaf_subsets(t, k) == chain_subsets_by_filter(t, k), (t, k)
+
+    def test_huge_k_gives_no_subsets_at_once(self):
+        assert root_to_leaf_subsets(CHAIN3, 10**9) == set()
+        assert increasing_pattern_subsets((1, 2, 3), 10**9) == set()
+
+    def test_ten_thousand_edge_chain_singletons(self):
+        n = 10_000
+        chain = decode("(" * n + ")" * n)
+        singletons = {frozenset({label}) for label in range(1, n + 1)}
+        assert root_to_leaf_subsets(chain, 1) == singletons
+        assert increasing_pattern_subsets(tree_to_perm(chain), 1) == singletons
 
 
 class TestParsing:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +9,14 @@ from catfrac import verify
 from catfrac.cli import main
 from catfrac.verify import CheckResult
 
+from conftest import CHILD_ENV
 from oracles import (
     catalan_table,
     column_area,
     dyck_words,
     naive_count_increasing,
     naive_has_132,
+    pattern_polynomial_by_scan,
 )
 
 
@@ -38,12 +39,12 @@ class TestOracles:
                     for p in permutations(range(1, n + 1))
                     if naive_has_132(p) is None
                 )
-                assert verify.pattern_polynomial_by_scan(n, k) == dict(expected)
+                assert pattern_polynomial_by_scan(n, k) == dict(expected)
 
     def test_pattern_scan_totals_are_catalan(self):
         table = catalan_table(8)
         for n in range(9):
-            assert sum(verify.pattern_polynomial_by_scan(n, 3).values()) == table[n]
+            assert sum(pattern_polynomial_by_scan(n, 3).values()) == table[n]
 
     def test_level_profile_census_totals(self):
         table = catalan_table(7)
@@ -139,11 +140,9 @@ REPO = Path(__file__).resolve().parent.parent
 class TestTracedRun:
     def test_trace_sees_the_check_and_keeps_stdout(self):
         argv = ["verify", "--check", "theorem5", "--max-edges", "3", "--k", "2"]
-        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
 
         def run(*cmd):
-            return subprocess.run([sys.executable, *cmd, *argv], capture_output=True, text=True, env=env, cwd=REPO)
+            return subprocess.run([sys.executable, *cmd, *argv], capture_output=True, text=True, env=CHILD_ENV, cwd=REPO)
 
         plain = run("-m", "catfrac")
         traced = run("perfbench/trace_op.py")
