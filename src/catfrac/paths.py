@@ -72,9 +72,16 @@ _TO_STEPS = str.maketrans("()", "EN")
 _TO_BRACKETS = str.maketrans("EN", "()")
 
 
+def _trusted_path(steps: str) -> DyckPath:
+    """A DyckPath on steps that are balanced by construction, without re-validating them."""
+    path = object.__new__(DyckPath)
+    object.__setattr__(path, "steps", steps)
+    return path
+
+
 def tree_to_path(t: OrderedTree) -> DyckPath:
     """Preorder traversal: descent -> E, ascent -> N."""
-    return DyckPath(encode(t).translate(_TO_STEPS))
+    return _trusted_path(encode(t).translate(_TO_STEPS))
 
 
 def path_to_tree(p: DyckPath) -> OrderedTree:

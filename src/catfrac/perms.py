@@ -12,7 +12,7 @@ permutation of 1..n.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -86,26 +86,29 @@ def has_132(p: Sequence[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _contains_132(p: Sequence[int]) -> bool:
-    """Existence-only (132) test, linear time; used for bulk filtering."""
-    third = 0  # values are positive, 0 acts as minus infinity
-    stack: list[int] = []
-    for x in reversed(p):
-        if x < third:
-            return True
-        while stack and stack[-1] < x:
-            third = stack.pop()
-        stack.append(x)
-    return False
-
-
 def enumerate_132_avoiders(n: int) -> list[PermWord]:
-    """All (132)-avoiding permutations of 1..n by filtering the full symmetric group.
+    """All (132)-avoiding permutations of 1..n, in lexicographic order.
 
-    Brute force by design: this is the oracle the tree bijection is checked
-    against.  Lexicographic order.  Feasible through n = 10 or so.
+    A hereditary prefix search that never touches trees.  Appending b forbids
+    every later value between b's prefix minimum and b, and a forbidden value
+    still unplaced makes the prefix a dead end.  So a live prefix extends only
+    by an unplaced value below its minimum or by the least unplaced value
+    above it; every live prefix completes (put the rest in increasing order),
+    and the search visits no dead prefix.
     """
-    return [p for p in permutations(range(1, n + 1)) if not _contains_132(p)]
+    out: list[PermWord] = []
+
+    def extend(prefix: PermWord, unplaced: PermWord, low: int) -> None:
+        if not unplaced:
+            out.append(prefix)
+            return
+        for i, v in enumerate(unplaced):
+            extend(prefix + (v,), unplaced[:i] + unplaced[i + 1 :], min(low, v))
+            if v > low:
+                break
+
+    extend((), tuple(range(1, n + 1)), n + 1)
+    return out
 
 
 def count_increasing(p: Sequence[int], k: int) -> int:
@@ -166,16 +169,19 @@ def root_to_leaf_subset_count(t: OrderedTree, k: int) -> int:
 
 
 def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
-    """Value sets that occur as a length-k increasing pattern (naive subset scan)."""
+    """Value sets that occur as a length-k increasing pattern.
+
+    Built by extension: the increasing tuples of length L ending at index i
+    are those of length L-1 ending at any h < i with p[h] < p[i], plus p[i].
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    out: set[frozenset[int]] = set()
     if k > len(p):
-        return out
-    for idxs in combinations(range(len(p)), k):
-        if all(p[idxs[i]] < p[idxs[i + 1]] for i in range(k - 1)):
-            out.add(frozenset(p[i] for i in idxs))
-    return out
+        return set()
+    ending = [[(x,)] for x in p]
+    for _ in range(k - 1):
+        ending = [[t + (x,) for h in range(i) if p[h] < x for t in ending[h]] for i, x in enumerate(p)]
+    return {frozenset(t) for tuples in ending for t in tuples}
 
 
 def perm_to_tree(p: Sequence[int]) -> OrderedTree:

@@ -2,22 +2,25 @@
 
 Everything here recomputes expected values from first principles with
 deliberately naive algorithms, separate from the package's implementations:
-the Catalan recurrence, triple scans for patterns, subset scans for counts,
-a prefix-feasibility Dyck word generator (the package uses the
-first-return factorization instead; ``first_return_words`` only pins the
-order the package lists trees in), the continued fraction by bottom-up
-series inversion (the package uses a path DP), and the area polynomials by
-a first-subtree recurrence.  Root-to-leaf chains are found by filtering
-all C(n, k) label sets through an ancestor table built from ``children``
-(the package reads them off the open-label stack of the bracket word).
+the Catalan recurrence, triple scans for patterns, subset scans for counts
+and for increasing value sets (the package extends increasing tuples one
+index at a time), the (132)-avoiders by filtering all n! permutations (the
+package runs a prefix search), a prefix-feasibility Dyck word generator (the
+package uses the first-return factorization instead; ``first_return_words``
+only pins the order the package lists trees in), the continued fraction by
+bottom-up series inversion (the package uses a path DP), and the area
+polynomials by a first-subtree recurrence.  Root-to-leaf chains are found by
+filtering all C(n, k) label sets through an ancestor table built from
+``children`` (the package reads them off the open-label stack of the
+bracket word).
 
-``pattern_polynomial_by_scan`` is the exception: it is built on the
-package's ``enumerate_132_avoiders`` (the n!-filter) and ``count_increasing``
-(the DP counter), and is checked against the triple and subset scans here.
+``pattern_polynomial_by_scan`` is the exception: it counts over the n!-filter
+here with the package's ``count_increasing`` (the DP counter), and is checked
+against the triple and subset scans here.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def catalan_table(max_n):
@@ -48,15 +51,42 @@ def naive_count_increasing(p, k):
     )
 
 
+def contains_132(p):
+    """Existence-only (132) test in one right-to-left stack pass."""
+    third = 0  # values are positive, 0 acts as minus infinity
+    stack = []
+    for x in reversed(p):
+        if x < third:
+            return True
+        while stack and stack[-1] < x:
+            third = stack.pop()
+        stack.append(x)
+    return False
+
+
+def avoiders_by_filter(n):
+    """The (132)-avoiding permutations of 1..n by filtering all n!, in lexicographic order."""
+    return [p for p in permutations(range(1, n + 1)) if not contains_132(p)]
+
+
+def increasing_subsets_by_scan(p, k):
+    """Value sets of length-k increasing patterns, by scanning all C(n, k) index sets."""
+    return {
+        frozenset(p[i] for i in idxs)
+        for idxs in combinations(range(len(p)), k)
+        if all(p[idxs[i]] < p[idxs[i + 1]] for i in range(k - 1))
+    }
+
+
 def pattern_polynomial_by_scan(n, k):
     """{pattern count: permutations} over the (132)-avoiders of length n.
 
     Filters all n! permutations down to the avoiders and counts their length-k
     increasing patterns with the DP counter.  Entirely word-side: no trees.
     """
-    from catfrac.perms import count_increasing, enumerate_132_avoiders
+    from catfrac.perms import count_increasing
 
-    return dict(Counter(count_increasing(p, k) for p in enumerate_132_avoiders(n)))
+    return dict(Counter(count_increasing(p, k) for p in avoiders_by_filter(n)))
 
 
 def chain_subsets_by_filter(t, k):

@@ -8,7 +8,7 @@ from catfrac import cli
 from catfrac.cli import main
 
 from conftest import CHILD_ENV
-from oracles import first_return_words
+from oracles import catalan_table, first_return_words
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +199,14 @@ class TestVerifyCommand:
         for check in ("theorem1", "lemma2", "theorem3", "lemma3", "lemma4", "theorem5", "corollary6", "bijections"):
             code, out, _ = run_cli(capsys, "verify", "--check", check, "--max-edges", "4")
             assert code == 0, (check, out)
+
+    def test_every_check_counts_each_tree_once_per_k(self, capsys):
+        trees = sum(catalan_table(6))
+        per_tree = {"lemma4": 4, "theorem5": 5, "corollary6": 3}
+        for check in ("theorem1", "lemma2", "theorem3", "lemma3", "lemma4", "theorem5", "corollary6", "bijections"):
+            code, out, _ = run_cli(capsys, "verify", "--check", check, "--max-edges", "6")
+            assert code == 0, (check, out)
+            assert out.splitlines()[-1] == f"PASS {check} (checked {per_tree.get(check, 1) * trees})"
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "lemma2", "--max-edges", "4", "--json")

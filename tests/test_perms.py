@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from catfrac.perms import (
     ConcatSplit,
     Pattern132Error,
-    _contains_132,
     count_increasing,
     enumerate_132_avoiders,
     format_perm,
@@ -20,14 +19,27 @@ from catfrac.perms import (
 from catfrac.trees import LEAF, binom_level_sum, decode, generate_trees
 
 from conftest import small_trees
-from oracles import catalan_table, chain_subsets_by_filter, naive_count_increasing, naive_has_132
+from oracles import (
+    avoiders_by_filter,
+    catalan_table,
+    chain_subsets_by_filter,
+    contains_132,
+    increasing_subsets_by_scan,
+    naive_count_increasing,
+    naive_has_132,
+)
 
 CHAIN3 = decode("((()))")
 STAR3 = decode("()()()")
 
-perm_words = st.integers(min_value=0, max_value=7).flatmap(
-    lambda n: st.permutations(range(1, n + 1)).map(tuple)
-)
+
+def permutation_words(max_n):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(tuple)
+    )
+
+
+perm_words = permutation_words(7)
 
 
 class TestTreeToPerm:
@@ -92,7 +104,7 @@ class TestHas132:
 
     @given(perm_words)
     def test_fast_filter_agrees(self, word):
-        assert _contains_132(word) == (naive_has_132(word) is not None)
+        assert contains_132(word) == (naive_has_132(word) is not None)
 
 
 class TestCountIncreasing:
@@ -124,6 +136,12 @@ class TestCountIncreasing:
     @given(perm_words, st.integers(min_value=1, max_value=4))
     def test_subset_collection_has_matching_size(self, word, k):
         assert len(increasing_pattern_subsets(word, k)) == count_increasing(word, k)
+
+    @settings(deadline=None)
+    @given(permutation_words(9), st.integers(min_value=1, max_value=6))
+    def test_subsets_match_the_index_scan(self, word, k):
+        # arbitrary words, (132)-containing ones included
+        assert increasing_pattern_subsets(word, k) == increasing_subsets_by_scan(word, k)
 
 
 class TestPermToTree:
@@ -172,6 +190,10 @@ class TestAvoiderEnumeration:
         for n in range(7):
             naive = {p for p in permutations(range(1, n + 1)) if naive_has_132(p) is None}
             assert set(enumerate_132_avoiders(n)) == naive
+
+    def test_prefix_search_lists_the_filter_oracle_exactly(self):
+        for n in range(10):
+            assert enumerate_132_avoiders(n) == avoiders_by_filter(n), n
 
 
 class TestConcatSplit:

@@ -133,6 +133,18 @@ class TestEarlyStop:
         assert result.checked == 5
         assert result.detail_lines == ["n=0 trees checked for k <= 2", "n=1 trees checked for k <= 2"]
 
+    def test_pattern_series_reports_a_wrong_formula(self, monkeypatch):
+        monkeypatch.setattr(verify, "binom_level_sum", lambda t, k: 0)
+        result = verify.check_pattern_series(3, ks=(2, 3))
+        assert result.ok is False
+        assert result.failures == [
+            "k=2 n=2: series slice {0: 1, 1: 1} != census {0: 2}",
+            "k=2 n=3: series slice {0: 1, 1: 2, 2: 1, 3: 1} != census {0: 5}",
+            "k=3 n=3: series slice {0: 4, 1: 1} != census {0: 5}",
+        ]
+        assert result.checked == 2 * (1 + 1 + 2 + 5)
+        assert result.detail_lines == ["k=2 checked through n=3", "k=3 checked through n=3"]
+
 
 REPO = Path(__file__).resolve().parent.parent
 
