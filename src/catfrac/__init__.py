@@ -10,7 +10,7 @@ the underlying objects.
 """
 
 from .series import Monomial, TruncSeries, TruncationError
-from .contfrac import LevelWeights, eval_cf, fixed_point_check, specialize
+from .contfrac import LevelWeights, eval_cf
 from .trees import (
     LEAF,
     OrderedTree,
@@ -58,8 +58,6 @@ __all__ = [
     "TruncationError",
     "LevelWeights",
     "eval_cf",
-    "fixed_point_check",
-    "specialize",
     "LEAF",
     "OrderedTree",
     "TreeParseError",

@@ -52,8 +52,19 @@ def _parse_weights(token: str) -> LevelWeights:
     raise argparse.ArgumentTypeError(f"unknown weights {token!r}; expected {WEIGHT_TOKENS}")
 
 
+def _error_line(message: str) -> str:
+    return "error: " + " ".join(message.splitlines()) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, _error_line(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catfrac",
         description="Continued-fraction generating functions for ordered trees, "
         "lattice paths, and (132)-avoiding permutations, with exact brute-force checks.",
@@ -257,15 +268,14 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except TruncationError as exc:
-        print(f"error: beyond truncation: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"beyond truncation: {exc}"))
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 2
     except Exception as exc:
         # Exit 1 means "verification failed", so a crash must not use it.
-        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"error: internal: {detail}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"internal: {type(exc).__name__}: {exc}"))
         return 2
 
 

@@ -13,12 +13,15 @@ where the weight monomial w_l prices one vertex at level l.  Presets:
     custom         explicit per-level list
 
 Every weight carries at least one z, so a truncation at z-order N only ever
-sees the first N levels: evaluating at depth >= order is exact.
+sees the first N levels: evaluating at depth >= order is exact.  The same
+bound lets the path DP in ``eval_cf`` pack each monomial's q- and
+v-exponents into one integer key whose digits cannot carry, so the DP adds
+ints and builds ``Monomial``s only for the final series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import Monomial, TruncSeries
 from .util import binom
@@ -26,28 +29,32 @@ from .util import binom
 _KINDS = ("catalan", "area", "increasing", "multivariate", "custom")
 
 
-@dataclass(frozen=True)
-class LevelWeights:
-    """Resolves a level index (from 1) to its weight monomial."""
-
+class _WeightFields(NamedTuple):
     kind: str
     k: int | None = None
     levels: tuple[Monomial, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "increasing" and (self.k is None or self.k < 1):
+
+class LevelWeights(_WeightFields):
+    """Resolves a level index (from 1) to its weight monomial."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int | None = None, levels: tuple[Monomial, ...] | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}")
+        if kind == "increasing" and (k is None or k < 1):
             raise ValueError("increasing-pattern weights need k >= 1")
-        if self.kind == "custom":
-            if not self.levels:
+        if kind == "custom":
+            if not levels:
                 raise ValueError("custom weights need at least one level")
-            for w in self.levels:
+            for w in levels:
                 if w.z_deg < 1:
                     raise ValueError(f"level weight {w} must carry a factor of z")
-            pure_v = [bool(w.v_degs) for w in self.levels]
+            pure_v = [bool(w.v_degs) for w in levels]
             if any(pure_v) and not all(pure_v):
                 raise ValueError("custom weights must not mix z,q monomials with level variables")
+        return super().__new__(cls, kind, k, levels)
 
     @classmethod
     def catalan(cls) -> "LevelWeights":
@@ -101,6 +108,14 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     no path of z-degree <= order_z climbs above order_z: levels past
     min(depth, order_z) are never looked up, and any depth >= order_z gives
     the exact series.
+
+    A cell maps a packed exponent to its coefficient.  The key of
+    q^a * v1^b1 * v2^b2 * ... is a + Q*(b1 + b2*V + b3*V^2 + ...); the
+    z-degree is the row d, so an up-step to level l moves a prefix to row
+    d + z_deg(w_l) and adds the fixed key of w_l.  Such a path takes at most
+    order_z up-steps, so its q-degree stays below Q = order_z*max_q + 1 and
+    each v-degree below V = order_z*max_v + 1 (max over the weights looked
+    up): no digit carries, and every key unpacks to one monomial.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -108,9 +123,12 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
         raise ValueError("order_z must be nonnegative")
     top = min(depth, order_z)
     ups = [weights.weight(level) for level in range(1, top + 1)]
+    q_base = order_z * max((w.q_deg for w in ups), default=0) + 1
+    v_base = order_z * max((max(w.v_degs, default=0) for w in ups), default=0) + 1
+    steps = [w.q_deg + q_base * sum(b * v_base**i for i, b in enumerate(w.v_degs)) for w in ups]
     # rows[d][h] is cell (d, h); up-steps fill rows ahead of the one read.
-    rows: dict[int, dict[int, dict[Monomial, int]]] = {0: {0: {Monomial(0, 0, ()): 1}}}
-    out: dict[Monomial, int] = {}
+    rows: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
+    slices: dict[int, dict[int, int]] = {}
     for d in range(order_z + 1):
         row = rows.pop(d, {})
         # Down-steps keep d, so heights are read top-down within a row.
@@ -118,37 +136,32 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
             cell = row.get(h)
             if not cell:
                 continue
-            if h < top:
-                w = ups[h]
-                if d + w.z_deg <= order_z:
-                    above = rows.setdefault(d + w.z_deg, {}).setdefault(h + 1, {})
-                    for m, c in cell.items():
-                        m = m.times(w)
-                        above[m] = above.get(m, 0) + c
+            if h < top and d + ups[h].z_deg <= order_z:
+                target = rows.setdefault(d + ups[h].z_deg, {})
+                above = target.get(h + 1)
+                step = steps[h]
+                if above is None:
+                    target[h + 1] = {key + step: c for key, c in cell.items()}
+                else:
+                    for key, c in cell.items():
+                        key += step
+                        above[key] = above.get(key, 0) + c
             if h == 0:
-                out.update(cell)
+                slices[d] = cell
                 continue
             below = row.get(h - 1)
             if below is None:
                 row[h - 1] = cell
             else:
-                for m, c in cell.items():
-                    below[m] = below.get(m, 0) + c
+                for key, c in cell.items():
+                    below[key] = below.get(key, 0) + c
+    out: dict[Monomial, int] = {}
+    for d, cell in slices.items():
+        for key, c in cell.items():
+            rest, q = divmod(key, q_base)
+            v = []
+            while rest:
+                rest, b = divmod(rest, v_base)
+                v.append(b)
+            out[Monomial(d, q, tuple(v))] = c
     return TruncSeries(order_z, out)
-
-
-def fixed_point_check(order_z: int) -> bool:
-    """True iff the level-census series T satisfies T = 1/(1 - v1 * T-shifted).
-
-    T-shifted is T with every level variable moved up one level, i.e. the
-    same census seen from one level below the root.
-    """
-    t = eval_cf(LevelWeights.multivariate(), max(order_z, 1), order_z)
-    shifted = t.shift_levels(1)
-    v1 = TruncSeries(order_z, {Monomial.level(1): 1})
-    return v1.mul(shifted).geom_inverse() == t
-
-
-def specialize(series: TruncSeries, weights: LevelWeights) -> TruncSeries:
-    """Substitute each level variable by the weight the preset assigns it."""
-    return series.substitute_levels(weights.weight)

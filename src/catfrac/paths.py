@@ -7,8 +7,7 @@ an E step, returning upward emits an N step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .trees import OrderedTree, decode, encode, generate_trees, level_sum
 from .util import binom
@@ -22,15 +21,18 @@ class PathParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class DyckPath:
-    """Validated step word over {E, N}: balanced, with every prefix #E >= #N."""
-
+class _Steps(NamedTuple):
     steps: str
 
-    def __post_init__(self):
+
+class DyckPath(_Steps):
+    """Validated step word over {E, N}: balanced, with every prefix #E >= #N."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: str):
         height = 0
-        for pos, ch in enumerate(self.steps):
+        for pos, ch in enumerate(steps):
             if ch == "E":
                 height += 1
             elif ch == "N":
@@ -40,9 +42,8 @@ class DyckPath:
             else:
                 raise PathParseError(f"unexpected step {ch!r}", pos)
         if height != 0:
-            raise PathParseError(
-                f"unbalanced path: {height} more E than N steps", len(self.steps)
-            )
+            raise PathParseError(f"unbalanced path: {height} more E than N steps", len(steps))
+        return super().__new__(cls, steps)
 
     @property
     def semilength(self) -> int:
@@ -74,9 +75,7 @@ _TO_BRACKETS = str.maketrans("EN", "()")
 
 def _trusted_path(steps: str) -> DyckPath:
     """A DyckPath on steps that are balanced by construction, without re-validating them."""
-    path = object.__new__(DyckPath)
-    object.__setattr__(path, "steps", steps)
-    return path
+    return tuple.__new__(DyckPath, (steps,))
 
 
 def tree_to_path(t: OrderedTree) -> DyckPath:

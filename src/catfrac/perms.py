@@ -13,8 +13,7 @@ permutation of 1..n.
 from __future__ import annotations
 
 from itertools import combinations
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .trees import OrderedTree, encode
 
@@ -213,8 +212,7 @@ def _decode_avoider(w: PermWord) -> OrderedTree:
     return OrderedTree("".join(parts))
 
 
-@dataclass(frozen=True)
-class ConcatSplit:
+class ConcatSplit(NamedTuple):
     """Block decomposition of a tree's word along its root subtrees.
 
     For subtrees on n_1, ..., n_s edges, the offsets are N_0 = n and

@@ -13,7 +13,7 @@ series and monomials are safe to share between threads.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class TruncationError(ValueError):
@@ -132,12 +132,12 @@ class TruncSeries:
         return sorted(self._terms.items())
 
     def z_slice(self, n: int) -> dict[Monomial, int]:
-        """All terms of z-degree exactly n."""
+        """All terms of z-degree exactly n, in canonical order."""
         if n > self.order_z:
             raise TruncationError(
                 f"z-degree {n} exceeds truncation order {self.order_z}"
             )
-        return {m: c for m, c in self._terms.items() if m.z_deg == n}
+        return dict(sorted((m, c) for m, c in self._terms.items() if m.z_deg == n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -234,7 +234,7 @@ class TruncSeries:
             merged.update(part)
         return TruncSeries(order, merged)
 
-    # -- truncation and substitution --------------------------------------
+    # -- truncation ----------------------------------------------------------
 
     def truncated(self, order_z: int) -> "TruncSeries":
         """Drop to a lower (or equal) truncation order."""
@@ -244,49 +244,6 @@ class TruncSeries:
                 f"{order_z}: higher coefficients are unknown"
             )
         return TruncSeries(order_z, self._terms)
-
-    def shift_levels(self, by: int = 1) -> "TruncSeries":
-        """Relabel every level variable v_l as v_(l+by)."""
-        if by < 0:
-            raise ValueError("shift must be nonnegative")
-        if by == 0:
-            return self
-        pad = (0,) * by
-        out = {
-            (Monomial(m.z_deg, m.q_deg, pad + m.v_degs) if m.v_degs else m): c
-            for m, c in self._terms.items()
-        }
-        return TruncSeries(self.order_z, out)
-
-    def substitute_levels(self, weight_of_level: Callable[[int], Monomial]) -> "TruncSeries":
-        """Replace each level variable v_l by the v-free monomial weight_of_level(l).
-
-        Each substituted weight must carry at least one z so the truncation
-        stays meaningful (terms dropped by the input's truncation could not
-        reappear below the order).
-        """
-        out: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            if not m.v_degs:
-                key = m
-            else:
-                z = 0
-                q = m.q_deg
-                for idx, a in enumerate(m.v_degs):
-                    if not a:
-                        continue
-                    w = weight_of_level(idx + 1)
-                    if w.v_degs:
-                        raise ValueError("substitution weights must be v-free")
-                    if w.z_deg < 1:
-                        raise ValueError("substitution weights must carry a factor of z")
-                    z += a * w.z_deg
-                    q += a * w.q_deg
-                if z > self.order_z:
-                    continue
-                key = Monomial(z, q, ())
-            out[key] = out.get(key, 0) + c
-        return TruncSeries(self.order_z, out)
 
     # -- rendering ---------------------------------------------------------
 

@@ -8,7 +8,6 @@ early once a handful of failures have been collected.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
@@ -34,14 +33,18 @@ _MAX_FAILURES = 5
 PERM_ORACLE_MAX = 12
 
 
-@dataclass
 class CheckResult:
-    name: str
-    params: dict
-    ok: bool = True
-    checked: int = 0
-    detail_lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    """One check's outcome, filled in as its scan runs."""
+
+    __slots__ = ("name", "params", "ok", "checked", "detail_lines", "failures")
+
+    def __init__(self, name: str, params: dict):
+        self.name = name
+        self.params = params
+        self.ok = True
+        self.checked = 0
+        self.detail_lines: list[str] = []
+        self.failures: list[str] = []
 
     def fail(self, message: str) -> bool:
         """Record a counterexample; returns True while more should be collected."""

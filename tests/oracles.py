@@ -12,7 +12,9 @@ bottom-up series inversion (the package uses a path DP), and the area
 polynomials by a first-subtree recurrence.  Root-to-leaf chains are found by
 filtering all C(n, k) label sets through an ancestor table built from
 ``children`` (the package reads them off the open-label stack of the
-bracket word).
+bracket word).  The level-variable algebra (``shift_levels``,
+``substitute_levels``, ``specialize``, ``fixed_point_check``) lives here
+too: no command of the package runs it.
 
 ``pattern_polynomial_by_scan`` is the exception: it counts over the n!-filter
 here with the package's ``count_increasing`` (the DP counter), and is checked
@@ -165,6 +167,64 @@ def reference_eval_cf(weights, depth, order_z):
         w = TruncSeries(order_z, {weights.weight(level): 1})
         s = w.mul(s).geom_inverse()
     return s
+
+
+def shift_levels(series, by=1):
+    """The series with every level variable v_l relabelled v_(l+by)."""
+    from catfrac.series import Monomial, TruncSeries
+
+    if by < 0:
+        raise ValueError("shift must be nonnegative")
+    pad = (0,) * by
+    return TruncSeries(
+        series.order_z,
+        {(Monomial(m.z_deg, m.q_deg, pad + m.v_degs) if m.v_degs else m): c for m, c in series.terms()},
+    )
+
+
+def substitute_levels(series, weight_of_level):
+    """Replace each level variable v_l by the v-free monomial weight_of_level(l).
+
+    Each substituted weight must carry at least one z, so that terms dropped
+    by the input's truncation could not reappear below the order.
+    """
+    from catfrac.series import Monomial, TruncSeries
+
+    out = {}
+    for m, c in series.terms():
+        z, q = 0 if m.v_degs else m.z_deg, m.q_deg
+        for idx, a in enumerate(m.v_degs):
+            if not a:
+                continue
+            w = weight_of_level(idx + 1)
+            if w.v_degs:
+                raise ValueError("substitution weights must be v-free")
+            if w.z_deg < 1:
+                raise ValueError("substitution weights must carry a factor of z")
+            z += a * w.z_deg
+            q += a * w.q_deg
+        key = Monomial(z, q, ())
+        out[key] = out.get(key, 0) + c
+    return TruncSeries(series.order_z, out)
+
+
+def specialize(series, weights):
+    """Substitute each level variable by the weight the preset assigns it."""
+    return substitute_levels(series, weights.weight)
+
+
+def fixed_point_check(order_z):
+    """True iff the level-census series T satisfies T = 1/(1 - v1 * T-shifted).
+
+    T-shifted is T with every level variable moved up one level, i.e. the
+    same census seen from one level below the root.
+    """
+    from catfrac.contfrac import LevelWeights, eval_cf
+    from catfrac.series import Monomial, TruncSeries
+
+    t = eval_cf(LevelWeights.multivariate(), max(order_z, 1), order_z)
+    v1 = TruncSeries(order_z, {Monomial.level(1): 1})
+    return v1.mul(shift_levels(t)).geom_inverse() == t
 
 
 def area_polynomials(max_n):

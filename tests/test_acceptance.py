@@ -8,7 +8,7 @@ are the stated wall-clock budgets, measured around the relevant computation.
 import time
 from collections import Counter
 
-from catfrac.contfrac import LevelWeights, eval_cf, fixed_point_check, specialize
+from catfrac.contfrac import LevelWeights, eval_cf
 from catfrac.paths import area, generate_paths, path_to_tree, tree_to_path
 from catfrac.perms import (
     count_increasing,
@@ -23,7 +23,14 @@ from catfrac.trees import binom_level_sum, generate_trees, level_profile, level_
 from catfrac.util import binom
 from catfrac.verify import area_polynomial, z_slice_q
 
-from oracles import area_polynomials, catalan_table, pattern_polynomial_by_scan, reference_eval_cf
+from oracles import (
+    area_polynomials,
+    catalan_table,
+    fixed_point_check,
+    pattern_polynomial_by_scan,
+    reference_eval_cf,
+    specialize,
+)
 
 
 def report(number, name, ok, note=""):

@@ -1,11 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catfrac import cli
 from catfrac.cli import main
+from catfrac.verify import CHECKS
 
 from conftest import CHILD_ENV
 from oracles import catalan_table, first_return_words
@@ -275,6 +280,97 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error: internal: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# sha256 of the stdout of the series invocations that perfbench runs, recorded
+# while the path DP still multiplied Monomial tuples.
+SERIES_DIGESTS = [
+    ("catalan", 100, False, "6dbc0ec4fac1193aac6ba172244da1c53a7882c1b0fe627cd0039a65784914d0"),
+    ("eq1", 16, False, "861af6144e774496ef01a0b5b537f5d630557ebb2902b53a417f2259e9b7fd48"),
+    ("eq2", 22, False, "dc8acd1fc9572fddda601e0da8fb45e65f051e02c4ada1448aafce81d653de3f"),
+    ("k=4", 16, False, "e662305b8e773d470e93029f65879fcb325fde57dc26262ec2398b84a7279335"),
+    ("multivariate", 13, False, "267a9981ea8dad407e99b15503461cec84e617f4697e47fd751536015ea56ef5"),
+    ("k=3", 16, True, "0fded1f7d435277c4034bce63276239e75c50eb672f8cd163313e997a6f132cf"),
+]
+
+
+class TestSeriesBytes:
+    @pytest.mark.parametrize("weights,order,as_json,digest", SERIES_DIGESTS)
+    def test_stdout_is_pinned(self, capsys, weights, order, as_json, digest):
+        argv = ["series", "--weights", weights, "--order", str(order)] + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _ints(high):
+    good = st.integers(0, high).map(str)
+    junk = st.sampled_from(["", "x", "-", "1.5", "0x3", "2 3"])
+    return st.one_of(good, good, good, st.integers(-3, -1).map(str), junk)
+
+
+_JUNK = st.sampled_from(["", "x", "-", "--", "--bogus", "--help", "a\nb", "-1"])
+_ENCODINGS = st.sampled_from(["tree", "path", "perm", "tree", "path", "perm", "bogus", ""])
+_VALUES = st.sampled_from(
+    ["", "()", "(())()", "EENN", "ENEN", "1 2", "3 1 2", "2 1 3", "())", "((", "NE", "1 3 2", "0", "x", "a\nb"]
+)
+# (flag, value strategy); a None flag is a positional value, a None strategy a switch.
+_OPTIONS = {
+    "series": [
+        ("--weights", st.sampled_from(["catalan", "eq1", "eq2", "multivariate", "k=1", "k=3", "k=0", "k=", "k=x", "bogus"])),
+        ("--order", _ints(12)),
+        ("--depth", st.one_of(_ints(12), st.just(str(10**8)))),
+        ("--json", None),
+    ],
+    "enumerate": [("--edges", _ints(6)), ("--stats", None), ("--json", None)],
+    "map": [("--from", _ENCODINGS), ("--to", _ENCODINGS), (None, _VALUES), ("--json", None)],
+    "count": [
+        ("--perm", st.sampled_from(["1 2 3", "3 1 2", "21", "1", "", "4 3 1 2", "1 3 2", "1 1", "0 1", "x"])),
+        ("--k", st.one_of(_ints(6), st.just(str(10**9)))),
+        ("--json", None),
+    ],
+    "verify": [
+        ("--check", st.sampled_from([*sorted(CHECKS), "bogus"])),
+        ("--max-edges", _ints(6)),
+        ("--k", _ints(8)),
+        ("--json", None),
+    ],
+}
+
+
+@st.composite
+def small_argvs(draw):
+    """An argv over the CLI's vocabulary whose sizes keep every run short.
+
+    Each option of the drawn subcommand is kept with probability 3/4, and
+    one junk token may land anywhere.  ``verify`` always keeps --max-edges,
+    so no check runs at its default bound.
+    """
+    command = draw(st.sampled_from([*_OPTIONS, *_OPTIONS, "bogus", ""]))
+    options = _OPTIONS.get(command, [])
+    kept = [option for option in options if option[0] == "--max-edges" or draw(st.integers(0, 3))]
+    argv = [command]
+    for flag, values in draw(st.permutations(kept)):
+        argv += [flag] if flag is not None else []
+        argv += [draw(values)] if values is not None else []
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+class TestArgvContract:
+    @settings(max_examples=200, deadline=None)
+    @given(small_argvs())
+    def test_any_argv_ends_in_a_documented_exit(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestEntryPoint:

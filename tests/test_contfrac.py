@@ -3,12 +3,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfrac.contfrac import LevelWeights, eval_cf, fixed_point_check, specialize
+from catfrac.contfrac import LevelWeights, eval_cf
 from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import generate_trees, level_profile
 from catfrac.util import binom
 
-from oracles import catalan_table, reference_eval_cf
+from oracles import catalan_table, fixed_point_check, reference_eval_cf, specialize
 
 
 def zq(z, q=0):
@@ -131,6 +131,52 @@ class TestAgainstReference:
             depths = {d for d in depths if d <= len(weights.levels)}
         for depth in sorted(depths):
             assert eval_cf(weights, depth, order) == reference_eval_cf(weights, depth, order), depth
+
+
+@st.composite
+def custom_cases(draw):
+    """(weights, depth, order): custom weights on at least ``depth`` levels.
+
+    z,q weights take z-degree 1..3 and q up to 40; level-variable weights
+    take v-degrees 0..2 per variable, which fixes their z-degree.
+    """
+    order = draw(st.integers(0, 7))
+    depth = draw(st.integers(1, order + 2))
+    n_levels = depth + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        weight = st.builds(Monomial, st.integers(1, 3), st.integers(0, 40), st.just(()))
+    else:
+        v_degs = st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any)
+        weight = v_degs.map(lambda v: Monomial.make(v_degs=v))
+    levels = draw(st.lists(weight, min_size=n_levels, max_size=n_levels))
+    return LevelWeights.custom(levels), depth, order
+
+
+class TestPackedExponents:
+    """Every exponent digit of the packed cell keys, up to its largest value."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(custom_cases())
+    def test_custom_weights_match_the_reference(self, case):
+        weights, depth, order = case
+        s = eval_cf(weights, depth, order)
+        assert s == reference_eval_cf(weights, depth, order)
+        for m, _ in s.terms():
+            assert Monomial.make(m.z_deg, m.q_deg, m.v_degs) == m
+            assert not m.v_degs or m.v_degs[-1]
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_q_digit_reaches_its_top(self, order):
+        # z*q^9 on one level: the path (ud)^order has q-degree 9*order = Q - 1
+        s = eval_cf(LevelWeights.custom([zq(1, 9)]), 1, order)
+        assert s == TruncSeries(order, {zq(n, 9 * n): 1 for n in range(order + 1)})
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_level_digits_reach_the_order(self, order):
+        # the star has v1^order and the chain v1*v2*...*v_order: top digit and top place
+        s = eval_cf(LevelWeights.multivariate(), max(order, 1), order)
+        assert s.coeff(Monomial.make(v_degs=(order,))) == 1
+        assert s.coeff(Monomial.make(v_degs=(1,) * order)) == 1
 
 
 class TestStability:
