@@ -110,21 +110,25 @@ def enumerate_132_avoiders(n: int) -> list[PermWord]:
     return out
 
 
-def count_increasing(p: Sequence[int], k: int) -> int:
-    """Number of strictly increasing subsequences of length k.
+def count_increasing_by_length(p: Sequence[int], k: int, lowest: int = 1) -> dict[int, int]:
+    """{L: strictly increasing subsequences of length L} for L = lowest..k, in one pass.
 
-    Dynamic programming on (length, end position); independent of any tree
-    machinery.
+    Dynamic programming on (length, end position), length L built from
+    length L-1; independent of any tree machinery.  Lengths past the word,
+    and past the first reported length with none, are left out: they have
+    none.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(p)
-    if k > n:
-        return 0
-    if k == 1:
-        return n
+    top = min(k, n)
+    out: dict[int, int] = {}
+    if lowest > top:
+        return out
+    if lowest <= 1:
+        out[1] = n
     ending = [1] * n  # subsequences of the current length ending at each index
-    for _ in range(2, k + 1):
+    for length in range(2, top + 1):
         nxt = [0] * n
         for i in range(n):
             pi = p[i]
@@ -134,27 +138,48 @@ def count_increasing(p: Sequence[int], k: int) -> int:
                     total += ending[h]
             nxt[i] = total
         ending = nxt
-    return sum(ending)
+        if length >= lowest:
+            count = out[length] = sum(ending)
+            if not count:
+                break
+    return out
 
 
-def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
-    """Label sets of k nonroot vertices lying along one root-to-leaf path.
+def count_increasing(p: Sequence[int], k: int) -> int:
+    """Number of strictly increasing subsequences of length k."""
+    return count_increasing_by_length(p, k, k).get(k, 0)
 
-    Read off the bracket word: at each '(' the open labels are exactly the
-    nonroot ancestors of the vertex being opened, so the chains whose
-    deepest vertex it is are that label plus any k-1 open labels.
+
+def root_to_leaf_subsets_by_length(
+    t: OrderedTree, k: int, lowest: int = 1
+) -> dict[int, set[frozenset[int]]]:
+    """{L: label sets of L nonroot vertices along one root-to-leaf path} for L = lowest..k.
+
+    One scan of the bracket word: at each '(' the open labels are exactly
+    the nonroot ancestors of the vertex being opened, so the L-chains whose
+    deepest vertex it is are that label plus any L-1 open labels.  Lengths
+    past the edge count are left out: they have no chains.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    out: set[frozenset[int]] = set()
-    if k > t.n_edges:
-        # combinations() allocates k indices before it notices k > len(pool).
+    n = label = t.n_edges
+    top = min(k, n)
+    out: dict[int, set[frozenset[int]]] = {}
+    for length in range(lowest, top + 1):
+        out[length] = set()
+    if not out:
         return out
     open_labels: list[int] = []
-    label = t.n_edges
     for ch in encode(t):
         if ch == "(":
-            out.update(frozenset((label, *above)) for above in combinations(open_labels, k - 1))
+            # Only lengths the open labels can fill: combinations() allocates
+            # its size before it notices the pool is smaller.
+            depth = len(open_labels)
+            longest = depth + 1 if depth < top else top
+            if longest >= lowest:
+                vertex = frozenset((label,))
+                for length in range(lowest, longest + 1):
+                    out[length].update(map(vertex.union, combinations(open_labels, length - 1)))
             open_labels.append(label)
             label -= 1
         else:
@@ -162,25 +187,47 @@ def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
     return out
 
 
+def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
+    """Label sets of k nonroot vertices lying along one root-to-leaf path."""
+    return root_to_leaf_subsets_by_length(t, k, k).get(k, set())
+
+
 def root_to_leaf_subset_count(t: OrderedTree, k: int) -> int:
     """Number of k-subsets of nonroot vertices that are pairwise ancestor-related."""
     return len(root_to_leaf_subsets(t, k))
 
 
-def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
-    """Value sets that occur as a length-k increasing pattern.
+def increasing_pattern_subsets_by_length(
+    p: Sequence[int], k: int, lowest: int = 1
+) -> dict[int, set[frozenset[int]]]:
+    """{L: value sets that occur as a length-L increasing pattern} for L = lowest..k.
 
     Built by extension: the increasing tuples of length L ending at index i
     are those of length L-1 ending at any h < i with p[h] < p[i], plus p[i].
+    Only the lengths reported become sets.  The pass stops at the word's
+    length and at the first length with none; lengths with none are left out.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > len(p):
-        return set()
+    n = len(p)
+    top = min(k, n)
+    out: dict[int, set[frozenset[int]]] = {}
+    if lowest > top:
+        return out
     ending = [[(x,)] for x in p]
-    for _ in range(k - 1):
-        ending = [[t + (x,) for h in range(i) if p[h] < x for t in ending[h]] for i, x in enumerate(p)]
-    return {frozenset(t) for tuples in ending for t in tuples}
+    for length in range(1, top + 1):
+        if length > 1:
+            ending = [[t + (x,) for h in range(i) if p[h] < x for t in ending[h]] for i, x in enumerate(p)]
+            if not any(ending):
+                break
+        if length >= lowest:
+            out[length] = {frozenset(t) for tuples in ending for t in tuples}
+    return out
+
+
+def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
+    """Value sets that occur as a length-k increasing pattern."""
+    return increasing_pattern_subsets_by_length(p, k, k).get(k, set())
 
 
 def perm_to_tree(p: Sequence[int]) -> OrderedTree:

@@ -119,8 +119,15 @@ def level_profile(t: OrderedTree) -> tuple[int, ...]:
 
 
 def level_sum(t: OrderedTree) -> int:
-    """Sum of level(v) over nonroot vertices (the root contributes 0)."""
-    return sum(level * c for level, c in enumerate(level_profile(t), start=1))
+    """Sum of level(v) over nonroot vertices (the root contributes 0): the depth at each '('."""
+    total = depth = 0
+    for ch in t.word:
+        if ch == "(":
+            depth += 1
+            total += depth
+        else:
+            depth -= 1
+    return total
 
 
 def binom_level_sum(t: OrderedTree, k: int) -> int:

@@ -14,13 +14,12 @@ from .contfrac import LevelWeights, eval_cf
 from .paths import area, area_via_levels, generate_paths, path_to_tree, tree_to_path
 from .perms import (
     ConcatSplit,
-    count_increasing,
+    count_increasing_by_length,
     enumerate_132_avoiders,
     format_perm,
-    increasing_pattern_subsets,
+    increasing_pattern_subsets_by_length,
     perm_to_tree,
-    root_to_leaf_subset_count,
-    root_to_leaf_subsets,
+    root_to_leaf_subsets_by_length,
     tree_to_perm,
 )
 from .series import TruncSeries
@@ -168,13 +167,17 @@ def check_word_concatenation(max_edges: int) -> CheckResult:
 
 
 def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
-    """Increasing-pattern value sets == root-to-leaf label sets (as sets)."""
+    """Increasing-pattern value sets == root-to-leaf label sets (as sets).
+
+    Each side is one pass per tree that serves every k <= k_max.
+    """
 
     def compare(t):
-        word = tree_to_perm(t)
+        patterns_by_length = increasing_pattern_subsets_by_length(tree_to_perm(t), k_max)
+        chains_by_length = root_to_leaf_subsets_by_length(t, k_max)
         for k in range(1, k_max + 1):
-            patterns = increasing_pattern_subsets(word, k)
-            chains = root_to_leaf_subsets(t, k)
+            patterns = patterns_by_length.get(k, set())
+            chains = chains_by_length.get(k, set())
             yield None if patterns == chains else (
                 f"k={k} tree={encode(t)!r} patterns={sorted(map(sorted, patterns))} "
                 f"chains={sorted(map(sorted, chains))}"
@@ -187,14 +190,18 @@ def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
 
 
 def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
-    """DP pattern count == level formula == ancestor-chain subset count."""
+    """DP pattern count == level formula == ancestor-chain subset count.
+
+    The word and chain sides are one pass per tree that serves every k <= k_max.
+    """
 
     def compare(t):
-        word = tree_to_perm(t)
+        counts = count_increasing_by_length(tree_to_perm(t), k_max)
+        chains = root_to_leaf_subsets_by_length(t, k_max)
         for k in range(1, k_max + 1):
-            by_word = count_increasing(word, k)
+            by_word = counts.get(k, 0)
             by_levels = binom_level_sum(t, k)
-            by_chains = root_to_leaf_subset_count(t, k)
+            by_chains = len(chains.get(k, ()))
             yield None if by_word == by_levels == by_chains else (
                 f"k={k} tree={encode(t)!r} word={by_word} levels={by_levels} chains={by_chains}"
             )

@@ -303,6 +303,75 @@ class TestSeriesBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the verify invocations that perfbench runs, and of
+# the k-taking checks at --max-edges 6 for every allowed --k, recorded while
+# each k still rebuilt the pattern data of every tree from length 1.
+VERIFY_DIGESTS = [
+    ("theorem1", 11, None, False, "03dbbb2569a72b9ad1690027eae4c10337aece51934be0500097dd81ceb910b1"),
+    ("theorem1", 11, None, True, "c13ebad45acc708b1ad9bc97bdba737a39b9c6d6a44b14f76750919df89f76d9"),
+    ("lemma2", 11, None, False, "2c93931e8d89f621ba6e5d0fefc04bc569a1568e2e5239d08d8f52e567aadd5d"),
+    ("lemma2", 11, None, True, "8ea2d3b46f3951621be4c457811366cf16dad18441bdb037f175eae52815abe6"),
+    ("theorem3", 11, None, False, "2d00d8ae5fde64abafb51132cb0705c466712540c035ea6dd287cd3d9b261dba"),
+    ("theorem3", 11, None, True, "6a37b8cc43b27c5e981f9d04feeb2ea2182a0185d32700813c8cca9ded984211"),
+    ("lemma3", 9, None, False, "80b92d9d761454a6426e3c693121185a8a39d4c3036bdc48ed9f99296aaf67f9"),
+    ("lemma3", 9, None, True, "55e4f1c7da32581e8214d98c0cf412196399473221fb726a65673d449c972af3"),
+    ("lemma4", 8, None, False, "f06cdfb1d50024ab8ad5ca0f985d1ff33c055000f35995cff9f73effd3be5e85"),
+    ("lemma4", 8, None, True, "358c49bd2c945e497d429873d18bc11f9a941d5270ef8189c496a674cb136917"),
+    ("theorem5", 8, None, False, "e8ef3983bccc1067a66694812f14157ff44f968b83eb22178ba1bf604685cc67"),
+    ("theorem5", 8, None, True, "db7f36e3dbbe6b3e3882862e8002a354b16cae42eeeb7ea36921b82a1f183c1f"),
+    ("corollary6", 11, None, False, "64cbf4d774a6ebd8d7a348c53c5fa3c1d2286655ebf170cbb5af0612b08badc9"),
+    ("corollary6", 11, None, True, "68014508c0abf97c5f6e5c6e7ad6ac26a3dbc7f24df2f7b5ddbf1e7a430195f3"),
+    ("bijections", 9, None, False, "91a36f3b8abf714cbda365b4ad3837424689fffdd723cc4762714182829c63d9"),
+    ("bijections", 9, None, True, "2104155e6bf776280543b91d9be9b6100604faabab870b87330787ab8e03241f"),
+    ("lemma4", 6, 1, False, "93b7d8ba35a3e1b7ce4a9c0d5bc06c3f0be6c2b02ea6d2c7b2e5687a48ecbb21"),
+    ("lemma4", 6, 1, True, "66c86987c7d8b9a748df8ad8b18a8a5c4c1513c599e2a42c18757fb36042e01d"),
+    ("lemma4", 6, 2, False, "853cb1f26fd50e09ed77d0dfe6faef0de349fb0411d4a6e696ca4c5b29afd7e5"),
+    ("lemma4", 6, 2, True, "275b87e89f5ca3efaa2b74c21371cb1bd1cc3f7dcc7f6596c1ee6e7f3e0d05dd"),
+    ("lemma4", 6, 3, False, "9eb61ddeb0b9ca14a7bfacd4acab5f787cdc5ef2a4a2fda68161e80314b63684"),
+    ("lemma4", 6, 3, True, "833b928d78d3ec0762d3e8e89e6ef07116a210d288495fc77149aa575d95af16"),
+    ("lemma4", 6, 4, False, "a3c1b200198eca8caaa2f87873164eb6d3c50660d7e43bacd03868b093eb752c"),
+    ("lemma4", 6, 4, True, "9d2329479310b1a5704f0739c001452eb190080bc6cad3a236a1934845395b18"),
+    ("lemma4", 6, 5, False, "3cd13e978cafba6bff461300e18a54801806f1e638828e6084b8e3a9515ff9d1"),
+    ("lemma4", 6, 5, True, "56fc4c3001920a44616155da5726bcacc330aabab15e2133edcf2953a4b57abe"),
+    ("lemma4", 6, 6, False, "7632655141d2c81e80789d73f59526d76f29dcb5dc528f4c33ac0eae3e9efbb6"),
+    ("lemma4", 6, 6, True, "00460fb2363647e722caa8b26e5120a8df472e0d46dc3da96e1efb8cf698e860"),
+    ("theorem5", 6, 1, False, "cfbe6ecea4526a2d8996bd58bd904e93f059ec0e85ad5d0be7f2286e8852d9f2"),
+    ("theorem5", 6, 1, True, "53929996140f8a374dff5ffb6a42707d207ac595f7b4d9624b53d8b8cad0b4b3"),
+    ("theorem5", 6, 2, False, "47fecd90a88181a6467fadadfbfbf84e08253be1a4f83fea17858b8054f7d847"),
+    ("theorem5", 6, 2, True, "dd41e93df5b16b78093542582f378f403ee15243695cf108379813d4a133c198"),
+    ("theorem5", 6, 3, False, "0d253256c8d456db7d73b29d54361ca55419d9d95c00503bf3503c47f0146ae4"),
+    ("theorem5", 6, 3, True, "c06679b0c2d30882fa4e2a08e02bb69c63862b28d49a4a3b4687e705fe2a77b9"),
+    ("theorem5", 6, 4, False, "c5e9d9e7c465f5b305f08841b2b2523420294fc38b4d06ae095b7ec211f1648d"),
+    ("theorem5", 6, 4, True, "7fe2771e1aa29671f57146967dabbc9c064831442a6ea4a839422f553ce00319"),
+    ("theorem5", 6, 5, False, "c2c25da9aa7e7b0681a9d0881f165d21dd7fd85b6058b29870cd7da2d9d2a465"),
+    ("theorem5", 6, 5, True, "9621da4d58606f64eb0d50e8a4722b150a464437405bc3b2174cddfe6bc508db"),
+    ("theorem5", 6, 6, False, "6c682b1edb61f75cfddb3e7e644beadb6ad01d16da8cbc19f4c75ec1ec45e66c"),
+    ("theorem5", 6, 6, True, "3292a87fc54bf0b5565308cb1acbffa8c4a4d0cdb9a647f51d508f0494762df0"),
+    ("corollary6", 6, 1, False, "56d9caa3b33207cdac70cd181d5bf205110e8b597335d10876b04c7a02afbc89"),
+    ("corollary6", 6, 1, True, "e8055e96c72aba5189042a760cb1f512f419fcc8076f446cff854b225804c921"),
+    ("corollary6", 6, 2, False, "b45882b94cf11189deee4f53aec69f30aba70a9d8849a5cd03277d8c1e2e2765"),
+    ("corollary6", 6, 2, True, "bf765d9aa9b5ca4395d7ff3d3040ec610322f0d6c58c2a470b8f2bbee06f3408"),
+    ("corollary6", 6, 3, False, "a0ee46862d4d4bd78ae85f13cfdbc9b512aceb0290ca86f691f24f086d18c6ed"),
+    ("corollary6", 6, 3, True, "da43bf864e3fe93b25820b8bc4ca5fc0092478276e48c0fca3acfc1bb40df9b2"),
+    ("corollary6", 6, 4, False, "31e0a700993de34d159efddde1509175a336d28c3fe68702d95434365ec740d9"),
+    ("corollary6", 6, 4, True, "b34cda0234793e7a26fdd1e2a7c2154a04a6e06ec3c80c364e4512c5938fdd07"),
+    ("corollary6", 6, 5, False, "115e6096e430004d91f5ff751e45c5f442e20a66a317345c5a564cd4defcd9ec"),
+    ("corollary6", 6, 5, True, "64ecaa9b6fbd7fb471187214bee0ea26a04aeca5eace4ef490cd6be01a349918"),
+    ("corollary6", 6, 6, False, "e08293209ecdbf05a5bd69517d427c7164f066fc9ef19fe09c933d6d62bdbc94"),
+    ("corollary6", 6, 6, True, "7de15336f6e7746f621fb397f465003a62caf99aa802291f26c342e9056643b2"),
+]
+
+
+class TestVerifyBytes:
+    @pytest.mark.parametrize("check,max_edges,k,as_json,digest", VERIFY_DIGESTS)
+    def test_stdout_is_pinned(self, capsys, check, max_edges, k, as_json, digest):
+        argv = ["verify", "--check", check, "--max-edges", str(max_edges)]
+        argv += (["--k", str(k)] if k is not None else []) + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _ints(high):
     good = st.integers(0, high).map(str)
     junk = st.sampled_from(["", "x", "-", "1.5", "0x3", "2 3"])

@@ -5,14 +5,17 @@ from catfrac.perms import (
     ConcatSplit,
     Pattern132Error,
     count_increasing,
+    count_increasing_by_length,
     enumerate_132_avoiders,
     format_perm,
     has_132,
     increasing_pattern_subsets,
+    increasing_pattern_subsets_by_length,
     parse_perm,
     perm_to_tree,
     root_to_leaf_subset_count,
     root_to_leaf_subsets,
+    root_to_leaf_subsets_by_length,
     shift,
     tree_to_perm,
 )
@@ -123,15 +126,26 @@ class TestCountIncreasing:
     def test_k_beyond_length(self):
         assert count_increasing((2, 1), 3) == 0
         assert count_increasing((2, 1), 10**9) == 0
+        assert count_increasing_by_length((2, 1), 10**9) == {1: 2, 2: 0}
+        assert count_increasing_by_length((1, 2, 3), 10**9) == {1: 3, 2: 3, 3: 1}
+        assert count_increasing_by_length((), 10**9) == {}
+        assert count_increasing_by_length((1, 2, 3), 10**9, lowest=2) == {2: 3, 3: 1}
+        assert count_increasing_by_length((1, 2, 3), 10**9, lowest=4) == {}
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            count_increasing((1,), 0)
+        for routine in (count_increasing, count_increasing_by_length, increasing_pattern_subsets_by_length):
+            with pytest.raises(ValueError):
+                routine((1,), 0)
 
     @settings(deadline=None)
-    @given(perm_words, st.integers(min_value=1, max_value=5))
-    def test_agrees_with_subset_scan(self, word, k):
-        assert count_increasing(word, k) == naive_count_increasing(word, k)
+    @given(permutation_words(9))
+    def test_agrees_with_subset_scan(self, word):
+        # arbitrary words, (132)-containing ones included; one call per bound K gives every k <= K
+        expected = {k: naive_count_increasing(word, k) for k in range(1, len(word) + 3)}
+        for bound in expected:
+            assert count_increasing(word, bound) == expected[bound]
+            counts = count_increasing_by_length(word, bound)
+            assert [counts.get(k, 0) for k in range(1, bound + 1)] == [expected[k] for k in range(1, bound + 1)]
 
     @given(perm_words, st.integers(min_value=1, max_value=4))
     def test_subset_collection_has_matching_size(self, word, k):
@@ -142,6 +156,10 @@ class TestCountIncreasing:
     def test_subsets_match_the_index_scan(self, word, k):
         # arbitrary words, (132)-containing ones included
         assert increasing_pattern_subsets(word, k) == increasing_subsets_by_scan(word, k)
+        expected = {length: increasing_subsets_by_scan(word, length) for length in range(1, len(word) + 3)}
+        for bound in expected:
+            found = increasing_pattern_subsets_by_length(word, bound)
+            assert all(found.get(length, set()) == expected[length] for length in range(1, bound + 1))
 
 
 class TestPermToTree:
@@ -253,12 +271,22 @@ class TestTreePatternStatistics:
     def test_subsets_match_the_filter_oracle(self):
         for n in range(9):
             for t in generate_trees(n):
-                for k in range(1, 7):
-                    assert root_to_leaf_subsets(t, k) == chain_subsets_by_filter(t, k), (t, k)
+                expected = {k: chain_subsets_by_filter(t, k) for k in range(1, n + 3)}
+                for bound in expected:
+                    assert root_to_leaf_subsets(t, bound) == expected[bound], (t, bound)
+                    found = root_to_leaf_subsets_by_length(t, bound)
+                    assert all(found.get(k, set()) == expected[k] for k in range(1, bound + 1)), (t, bound)
 
     def test_huge_k_gives_no_subsets_at_once(self):
         assert root_to_leaf_subsets(CHAIN3, 10**9) == set()
         assert increasing_pattern_subsets((1, 2, 3), 10**9) == set()
+        # the one-pass forms stop at the edge count
+        assert sorted(root_to_leaf_subsets_by_length(CHAIN3, 10**9)) == [1, 2, 3]
+        assert root_to_leaf_subsets_by_length(STAR3, 10**9)[3] == set()
+        assert root_to_leaf_subsets_by_length(LEAF, 10**9) == {}
+        assert sorted(increasing_pattern_subsets_by_length((1, 2, 3), 10**9)) == [1, 2, 3]
+        assert increasing_pattern_subsets_by_length((1, 2, 3), 10**9, lowest=3) == {3: {frozenset({1, 2, 3})}}
+        assert root_to_leaf_subsets_by_length(CHAIN3, 10**9, lowest=3) == {3: {frozenset({1, 2, 3})}}
 
     def test_ten_thousand_edge_chain_singletons(self):
         n = 10_000

@@ -133,6 +133,25 @@ class TestEarlyStop:
         assert result.checked == 5
         assert result.detail_lines == ["n=0 trees checked for k <= 2", "n=1 trees checked for k <= 2"]
 
+    def test_chain_subsets_stops_after_five_failures(self, monkeypatch):
+        real = verify.tree_to_perm
+        monkeypatch.setattr(verify, "tree_to_perm", lambda t: real(t)[::-1])
+        result = verify.check_chain_subsets(4, k_max=3)
+        assert result.ok is False
+        assert result.failures == [
+            "n=2 k=2 tree='()()' patterns=[[1, 2]] chains=[]",
+            "n=2 k=2 tree='(())' patterns=[] chains=[[1, 2]]",
+            "n=3 k=2 tree='()()()' patterns=[[1, 2], [1, 3], [2, 3]] chains=[]",
+            "n=3 k=3 tree='()()()' patterns=[[1, 2, 3]] chains=[]",
+            "n=3 k=2 tree='()(())' patterns=[[1, 3], [2, 3]] chains=[[1, 2]]",
+        ]
+        assert result.checked == 17
+        assert result.detail_lines == [
+            "n=0 trees checked for k <= 3",
+            "n=1 trees checked for k <= 3",
+            "n=2 trees checked for k <= 3",
+        ]
+
     def test_pattern_series_reports_a_wrong_formula(self, monkeypatch):
         monkeypatch.setattr(verify, "binom_level_sum", lambda t, k: 0)
         result = verify.check_pattern_series(3, ks=(2, 3))
