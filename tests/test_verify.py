@@ -7,6 +7,7 @@ import pytest
 
 from catfrac import verify
 from catfrac.cli import main
+from catfrac.trees import OrderedTree
 from catfrac.verify import CheckResult
 
 from conftest import CHILD_ENV
@@ -150,6 +151,27 @@ class TestEarlyStop:
             "n=0 trees checked for k <= 3",
             "n=1 trees checked for k <= 3",
             "n=2 trees checked for k <= 3",
+        ]
+
+    def test_word_concatenation_reports_a_broken_split(self, monkeypatch):
+        # reversed subtrees shift each block past the wrong neighbours
+        real = OrderedTree.children
+        monkeypatch.setattr(OrderedTree, "children", property(lambda t: real.fget(t)[::-1]))
+        result = verify.check_word_concatenation(4)
+        assert result.ok is False
+        assert result.failures == [
+            "n=3 tree='()(())' split=(2, 3, 1) direct=(3, 1, 2)",
+            "n=3 tree='(())()' split=(3, 1, 2) direct=(2, 3, 1)",
+            "n=4 tree='()()(())' split=(3, 4, 2, 1) direct=(4, 3, 1, 2)",
+            "n=4 tree='()(()())' split=(3, 2, 4, 1) direct=(4, 2, 1, 3)",
+            "n=4 tree='()((()))' split=(2, 3, 4, 1) direct=(4, 1, 2, 3)",
+        ]
+        assert result.checked == 14
+        assert result.detail_lines == [
+            "n=0 trees checked",
+            "n=1 trees checked",
+            "n=2 trees checked",
+            "n=3 trees checked",
         ]
 
     def test_pattern_series_reports_a_wrong_formula(self, monkeypatch):
