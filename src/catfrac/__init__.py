@@ -33,7 +33,6 @@ from .paths import (
     tree_to_path,
 )
 from .perms import (
-    ConcatSplit,
     Pattern132Error,
     count_increasing,
     enumerate_132_avoiders,
@@ -42,9 +41,7 @@ from .perms import (
     increasing_pattern_subsets,
     parse_perm,
     perm_to_tree,
-    root_to_leaf_subset_count,
     root_to_leaf_subsets,
-    shift,
     tree_to_perm,
     validate_perm,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "parse_path",
     "path_to_tree",
     "tree_to_path",
-    "ConcatSplit",
     "Pattern132Error",
     "count_increasing",
     "enumerate_132_avoiders",
@@ -84,9 +80,7 @@ __all__ = [
     "increasing_pattern_subsets",
     "parse_perm",
     "perm_to_tree",
-    "root_to_leaf_subset_count",
     "root_to_leaf_subsets",
-    "shift",
     "tree_to_perm",
     "validate_perm",
     "binom",

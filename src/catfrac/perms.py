@@ -13,7 +13,7 @@ permutation of 1..n.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .trees import OrderedTree, encode
 
@@ -49,13 +49,6 @@ def tree_to_perm(t: OrderedTree) -> PermWord:
         else:
             word.append(open_labels.pop())
     return tuple(word)
-
-
-def shift(p: Sequence[int], k: int) -> PermWord:
-    """The same word written on the numbers 1+k, ..., n+k."""
-    if k < 0:
-        raise ValueError("shift must be nonnegative")
-    return tuple(x + k for x in p)
 
 
 def has_132(p: Sequence[int]) -> Optional[tuple[int, int, int]]:
@@ -110,23 +103,20 @@ def enumerate_132_avoiders(n: int) -> list[PermWord]:
     return out
 
 
-def count_increasing_by_length(p: Sequence[int], k: int, lowest: int = 1) -> dict[int, int]:
-    """{L: strictly increasing subsequences of length L} for L = lowest..k, in one pass.
+def count_increasing_by_length(p: Sequence[int], k: int) -> dict[int, int]:
+    """{L: strictly increasing subsequences of length L} for L = 1..k, in one pass.
 
     Dynamic programming on (length, end position), length L built from
     length L-1; independent of any tree machinery.  Lengths past the word,
-    and past the first reported length with none, are left out: they have
-    none.
+    and past the first length with none, are left out: they have none.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(p)
     top = min(k, n)
-    out: dict[int, int] = {}
-    if lowest > top:
-        return out
-    if lowest <= 1:
-        out[1] = n
+    if not top:
+        return {}
+    out = {1: n}
     ending = [1] * n  # subsequences of the current length ending at each index
     for length in range(2, top + 1):
         nxt = [0] * n
@@ -138,22 +128,19 @@ def count_increasing_by_length(p: Sequence[int], k: int, lowest: int = 1) -> dic
                     total += ending[h]
             nxt[i] = total
         ending = nxt
-        if length >= lowest:
-            count = out[length] = sum(ending)
-            if not count:
-                break
+        count = out[length] = sum(ending)
+        if not count:
+            break
     return out
 
 
 def count_increasing(p: Sequence[int], k: int) -> int:
     """Number of strictly increasing subsequences of length k."""
-    return count_increasing_by_length(p, k, k).get(k, 0)
+    return count_increasing_by_length(p, k).get(k, 0)
 
 
-def root_to_leaf_subsets_by_length(
-    t: OrderedTree, k: int, lowest: int = 1
-) -> dict[int, set[frozenset[int]]]:
-    """{L: label sets of L nonroot vertices along one root-to-leaf path} for L = lowest..k.
+def root_to_leaf_subsets_by_length(t: OrderedTree, k: int) -> dict[int, set[frozenset[int]]]:
+    """{L: label sets of L nonroot vertices along one root-to-leaf path} for L = 1..k.
 
     One scan of the bracket word: at each '(' the open labels are exactly
     the nonroot ancestors of the vertex being opened, so the L-chains whose
@@ -164,11 +151,7 @@ def root_to_leaf_subsets_by_length(
         raise ValueError("k must be at least 1")
     n = label = t.n_edges
     top = min(k, n)
-    out: dict[int, set[frozenset[int]]] = {}
-    for length in range(lowest, top + 1):
-        out[length] = set()
-    if not out:
-        return out
+    out: dict[int, set[frozenset[int]]] = {length: set() for length in range(1, top + 1)}
     open_labels: list[int] = []
     for ch in encode(t):
         if ch == "(":
@@ -176,10 +159,9 @@ def root_to_leaf_subsets_by_length(
             # its size before it notices the pool is smaller.
             depth = len(open_labels)
             longest = depth + 1 if depth < top else top
-            if longest >= lowest:
-                vertex = frozenset((label,))
-                for length in range(lowest, longest + 1):
-                    out[length].update(map(vertex.union, combinations(open_labels, length - 1)))
+            vertex = frozenset((label,))
+            for length in range(1, longest + 1):
+                out[length].update(map(vertex.union, combinations(open_labels, length - 1)))
             open_labels.append(label)
             label -= 1
         else:
@@ -189,45 +171,35 @@ def root_to_leaf_subsets_by_length(
 
 def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
     """Label sets of k nonroot vertices lying along one root-to-leaf path."""
-    return root_to_leaf_subsets_by_length(t, k, k).get(k, set())
+    return root_to_leaf_subsets_by_length(t, k).get(k, set())
 
 
-def root_to_leaf_subset_count(t: OrderedTree, k: int) -> int:
-    """Number of k-subsets of nonroot vertices that are pairwise ancestor-related."""
-    return len(root_to_leaf_subsets(t, k))
-
-
-def increasing_pattern_subsets_by_length(
-    p: Sequence[int], k: int, lowest: int = 1
-) -> dict[int, set[frozenset[int]]]:
-    """{L: value sets that occur as a length-L increasing pattern} for L = lowest..k.
+def increasing_pattern_subsets_by_length(p: Sequence[int], k: int) -> dict[int, set[frozenset[int]]]:
+    """{L: value sets that occur as a length-L increasing pattern} for L = 1..k.
 
     Built by extension: the increasing tuples of length L ending at index i
     are those of length L-1 ending at any h < i with p[h] < p[i], plus p[i].
-    Only the lengths reported become sets.  The pass stops at the word's
-    length and at the first length with none; lengths with none are left out.
+    The pass stops at the word's length and at the first length with none;
+    lengths with none are left out.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(p)
     top = min(k, n)
     out: dict[int, set[frozenset[int]]] = {}
-    if lowest > top:
-        return out
     ending = [[(x,)] for x in p]
     for length in range(1, top + 1):
         if length > 1:
             ending = [[t + (x,) for h in range(i) if p[h] < x for t in ending[h]] for i, x in enumerate(p)]
             if not any(ending):
                 break
-        if length >= lowest:
-            out[length] = {frozenset(t) for tuples in ending for t in tuples}
+        out[length] = {frozenset(t) for tuples in ending for t in tuples}
     return out
 
 
 def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
     """Value sets that occur as a length-k increasing pattern."""
-    return increasing_pattern_subsets_by_length(p, k, k).get(k, set())
+    return increasing_pattern_subsets_by_length(p, k).get(k, set())
 
 
 def perm_to_tree(p: Sequence[int]) -> OrderedTree:
@@ -257,37 +229,6 @@ def _decode_avoider(w: PermWord) -> OrderedTree:
             next_label -= 1
         parts.append(")")
     return OrderedTree("".join(parts))
-
-
-class ConcatSplit(NamedTuple):
-    """Block decomposition of a tree's word along its root subtrees.
-
-    For subtrees on n_1, ..., n_s edges, the offsets are N_0 = n and
-    N_k = N_(k-1) - n_k - 1 (ending at N_s = 0); block k is the k-th
-    subtree's word shifted by N_k, followed by the separator label N_(k-1),
-    which the subtree's root receives.  Concatenating the blocks in order
-    reconstitutes the tree's word.
-    """
-
-    offsets: tuple[int, ...]
-    blocks: tuple[tuple[PermWord, int], ...]
-
-    @classmethod
-    def from_tree(cls, t: OrderedTree) -> "ConcatSplit":
-        offsets = [t.n_edges]
-        blocks: list[tuple[PermWord, int]] = []
-        for sub in t.children:
-            previous = offsets[-1]
-            offsets.append(previous - sub.n_edges - 1)
-            blocks.append((shift(tree_to_perm(sub), offsets[-1]), previous))
-        return cls(tuple(offsets), tuple(blocks))
-
-    def word(self) -> PermWord:
-        out: list[int] = []
-        for block, separator in self.blocks:
-            out.extend(block)
-            out.append(separator)
-        return tuple(out)
 
 
 def parse_perm(text: str) -> PermWord:

@@ -35,24 +35,6 @@ class Monomial(NamedTuple):
     v_degs: tuple[int, ...] = ()
 
     @classmethod
-    def make(cls, z_deg: int = 0, q_deg: int = 0, v_degs: Iterable[int] = ()) -> "Monomial":
-        """Validated constructor; infers z_deg from v_degs when z_deg is omitted."""
-        v = tuple(int(x) for x in v_degs)
-        while v and v[-1] == 0:
-            v = v[:-1]
-        if z_deg < 0 or q_deg < 0 or any(x < 0 for x in v):
-            raise ValueError("monomial exponents must be nonnegative")
-        if v:
-            total = sum(v)
-            if z_deg == 0:
-                z_deg = total
-            elif z_deg != total:
-                raise ValueError(
-                    f"z-degree {z_deg} must equal the total level degree {total}"
-                )
-        return cls(int(z_deg), int(q_deg), v)
-
-    @classmethod
     def level(cls, level: int) -> "Monomial":
         """The single level variable v_level (one edge, one vertex at that level)."""
         if level < 1:
@@ -105,27 +87,7 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
-    @classmethod
-    def zero(cls, order_z: int) -> "TruncSeries":
-        return cls(order_z)
-
-    @classmethod
-    def one(cls, order_z: int) -> "TruncSeries":
-        return cls(order_z, {_ONE: 1})
-
     # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, monomial: Monomial) -> int:
-        """Exact coefficient; zero when absent, error when beyond the order."""
-        if monomial.z_deg > self.order_z:
-            raise TruncationError(
-                f"coefficient at z-degree {monomial.z_deg} exceeds truncation order "
-                f"{self.order_z}: it is unknown, not zero"
-            )
-        return self._terms.get(monomial, 0)
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical (z_deg, q_deg, v_degs) order."""
@@ -159,22 +121,6 @@ class TruncSeries:
                 f"mismatched truncation orders {self.order_z} and {other.order_z}"
             )
 
-    def add(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_compat(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return TruncSeries(self.order_z, out)
-
-    def scale(self, factor: int) -> "TruncSeries":
-        if not factor:
-            return TruncSeries(self.order_z)
-        return TruncSeries(self.order_z, {m: factor * c for m, c in self._terms.items()})
-
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         """Convolution product; z-degrees beyond the order are discarded."""
         self._check_compat(other)
@@ -191,12 +137,6 @@ class TruncSeries:
                         m = ma.times(mb)
                         out[m] = out.get(m, 0) + ca * cb
         return TruncSeries(order, out)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def geom_inverse(self) -> "TruncSeries":
         """1/(1 - self) as the geometric series 1 + self + self^2 + ...
@@ -233,17 +173,6 @@ class TruncSeries:
         for part in r_by_z.values():
             merged.update(part)
         return TruncSeries(order, merged)
-
-    # -- truncation ----------------------------------------------------------
-
-    def truncated(self, order_z: int) -> "TruncSeries":
-        """Drop to a lower (or equal) truncation order."""
-        if order_z > self.order_z:
-            raise TruncationError(
-                f"cannot raise the truncation order from {self.order_z} to "
-                f"{order_z}: higher coefficients are unknown"
-            )
-        return TruncSeries(order_z, self._terms)
 
     # -- rendering ---------------------------------------------------------
 

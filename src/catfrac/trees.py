@@ -13,7 +13,7 @@ depth work.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .util import binom
 
@@ -130,11 +130,20 @@ def level_sum(t: OrderedTree) -> int:
     return total
 
 
-def binom_level_sum(t: OrderedTree, k: int) -> int:
-    """Sum of C(level(v)-1, k-1) over nonroot vertices."""
+def binom_profile_sum(profile: Sequence[int], k: int) -> int:
+    """Sum of C(level-1, k-1) over the vertices of a level profile.
+
+    A tree's count of length-k increasing patterns (Theorem 5) depends on
+    the tree only through its level profile, so this is the one formula.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sum(c * binom(level - 1, k - 1) for level, c in enumerate(level_profile(t), start=1))
+    return sum(c * binom(level - 1, k - 1) for level, c in enumerate(profile, start=1))
+
+
+def binom_level_sum(t: OrderedTree, k: int) -> int:
+    """Sum of C(level(v)-1, k-1) over nonroot vertices: the formula on t's profile."""
+    return binom_profile_sum(level_profile(t), k)
 
 
 def encode(t: OrderedTree) -> str:

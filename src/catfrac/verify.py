@@ -13,7 +13,6 @@ from typing import Callable
 from .contfrac import LevelWeights, eval_cf
 from .paths import area, area_via_levels, generate_paths, path_to_tree, tree_to_path
 from .perms import (
-    ConcatSplit,
     count_increasing_by_length,
     enumerate_132_avoiders,
     format_perm,
@@ -23,7 +22,7 @@ from .perms import (
     tree_to_perm,
 )
 from .series import TruncSeries
-from .trees import OrderedTree, binom_level_sum, encode, generate_trees, level_profile
+from .trees import binom_profile_sum, encode, generate_trees, level_profile
 from .util import binom
 
 _MAX_FAILURES = 5
@@ -60,19 +59,9 @@ def area_polynomial(n: int) -> dict[int, int]:
     return dict(Counter(area(p) for p in generate_paths(n)))
 
 
-def level_profile_classes(n: int) -> dict[tuple[int, ...], tuple[OrderedTree, int]]:
-    """{level profile: (first tree with it, trees)} over all ordered trees on n edges."""
-    classes: dict[tuple[int, ...], tuple[OrderedTree, int]] = {}
-    for t in generate_trees(n):
-        profile = level_profile(t)
-        first, count = classes.get(profile, (t, 0))
-        classes[profile] = (first, count + 1)
-    return classes
-
-
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
     """{level profile: trees} over all ordered trees on n edges."""
-    return {profile: count for profile, (_, count) in level_profile_classes(n).items()}
+    return dict(Counter(map(level_profile, generate_trees(n))))
 
 
 # -- series slices ------------------------------------------------------------
@@ -155,12 +144,25 @@ def check_area_series(max_edges: int) -> CheckResult:
 
 
 def check_word_concatenation(max_edges: int) -> CheckResult:
-    """tree_to_perm == block-by-block reconstruction from the subtree words."""
+    """tree_to_perm == block-by-block reconstruction from the subtree words.
+
+    For root subtrees on n_1, ..., n_s edges the offsets are N_0 = n and
+    N_j = N_(j-1) - n_j - 1, ending at N_s = 0.  Block j is subtree j's word
+    shifted by N_j, past the later subtrees, followed by N_(j-1), the label
+    of subtree j's root.
+    """
 
     def compare(t):
-        split, direct = ConcatSplit.from_tree(t), tree_to_perm(t)
-        ok = split.word() == direct and split.offsets[-1] == 0
-        yield None if ok else f"tree={encode(t)!r} split={split.word()} direct={direct}"
+        direct = tree_to_perm(t)
+        blocks: list[int] = []
+        offset = t.n_edges
+        for sub in t.children:
+            root_label = offset
+            offset -= sub.n_edges + 1
+            blocks.extend(x + offset for x in tree_to_perm(sub))
+            blocks.append(root_label)
+        split = tuple(blocks)
+        yield None if split == direct and offset == 0 else f"tree={encode(t)!r} split={split} direct={direct}"
 
     result = CheckResult("word concatenation recursion", {"max_edges": max_edges})
     return _scan_trees(result, max_edges, compare, "trees checked")
@@ -192,15 +194,17 @@ def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
 def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
     """DP pattern count == level formula == ancestor-chain subset count.
 
-    The word and chain sides are one pass per tree that serves every k <= k_max.
+    Each side is one pass per tree that serves every k <= k_max: the word
+    count, the chain scan, and the level profile that the formula reads.
     """
 
     def compare(t):
         counts = count_increasing_by_length(tree_to_perm(t), k_max)
         chains = root_to_leaf_subsets_by_length(t, k_max)
+        profile = level_profile(t)
         for k in range(1, k_max + 1):
             by_word = counts.get(k, 0)
-            by_levels = binom_level_sum(t, k)
+            by_levels = binom_profile_sum(profile, k)
             by_chains = len(chains.get(k, ()))
             yield None if by_word == by_levels == by_chains else (
                 f"k={k} tree={encode(t)!r} word={by_word} levels={by_levels} chains={by_chains}"
@@ -216,19 +220,19 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     """Tree census of the level formula == increasing-pattern preset series.
 
     The formula depends on a tree only through its level profile, so the
-    trees on n edges are grouped by profile once, and each k evaluates it
-    on one tree per profile, weighted by the profile's tree count.
+    trees on n edges are counted by profile once, and each k evaluates it
+    once per profile, weighted by the profile's tree count.
     """
     result = CheckResult(
         "pattern-count census vs series", {"max_edges": max_edges, "ks": list(ks)}
     )
-    classes = [level_profile_classes(n).values() for n in range(max_edges + 1)]
+    censuses = [level_profile_census(n).items() for n in range(max_edges + 1)]
     for k in ks:
         series = eval_cf(LevelWeights.increasing(k), max(max_edges, 1), max_edges)
         for n in range(max_edges + 1):
             census: Counter[int] = Counter()
-            for t, count in classes[n]:
-                census[binom_level_sum(t, k)] += count
+            for profile, count in censuses[n]:
+                census[binom_profile_sum(profile, k)] += count
             got = z_slice_q(series, n)
             result.checked += sum(census.values())
             if got != dict(census):

@@ -160,9 +160,9 @@ def reference_eval_cf(weights, depth, order_z):
     down to 1, through ``TruncSeries.mul`` and ``geom_inverse``.  Costs
     ``depth`` series inversions, so keep depth and order small.
     """
-    from catfrac.series import TruncSeries
+    from catfrac.series import Monomial, TruncSeries
 
-    s = TruncSeries.one(order_z)
+    s = TruncSeries(order_z, {Monomial(0, 0, ()): 1})
     for level in range(depth, 0, -1):
         w = TruncSeries(order_z, {weights.weight(level): 1})
         s = w.mul(s).geom_inverse()

@@ -468,6 +468,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
 
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        import catfrac
+
+        assert len(set(catfrac.__all__)) == len(catfrac.__all__)
+        assert [name for name in catfrac.__all__ if not hasattr(catfrac, name)] == []
+
+    def test_star_import_binds_exactly_all(self):
+        import catfrac
+
+        namespace: dict = {}
+        exec("from catfrac import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(catfrac.__all__)
+
+
 # Runs in a fresh interpreter whose recursion limit is far below the input
 # depth, so any recursive walk over a tree fails here.
 DEEP_INPUTS = """

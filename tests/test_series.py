@@ -15,21 +15,25 @@ def series(order, mapping):
     return TruncSeries(order, {zq(*key) if isinstance(key, tuple) else key: c for key, c in mapping.items()})
 
 
+def one(order):
+    return series(order, {(0, 0): 1})
+
+
+def plus(a, b):
+    """Coefficientwise sum of two series of one order, built from their terms."""
+    assert a.order_z == b.order_z
+    out = dict(a.terms())
+    for m, c in b.terms():
+        out[m] = out.get(m, 0) + c
+    return TruncSeries(a.order_z, out)
+
+
+def cut(s, order):
+    """The series truncated to a lower order: the constructor drops the higher terms."""
+    return TruncSeries(order, dict(s.terms()))
+
+
 class TestMonomial:
-    def test_make_strips_trailing_zeros(self):
-        assert Monomial.make(v_degs=(1, 0, 0)) == Monomial(1, 0, (1,))
-
-    def test_make_infers_z_degree_from_levels(self):
-        assert Monomial.make(v_degs=(1, 2)) == Monomial(3, 0, (1, 2))
-
-    def test_make_rejects_inconsistent_z(self):
-        with pytest.raises(ValueError):
-            Monomial.make(z_deg=5, v_degs=(1, 1))
-
-    def test_make_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Monomial.make(z_deg=-1)
-
     def test_level_variable(self):
         assert Monomial.level(3) == Monomial(1, 0, (0, 0, 1))
 
@@ -42,43 +46,22 @@ class TestMonomial:
         assert sorted(ms) == [zq(0, 2), zq(1, 0), Monomial(1, 0, (1,)), zq(1, 1)]
 
 
-class TestAdd:
-    def test_coefficientwise_sum(self):
-        a = series(3, {(0, 0): 1, (1, 1): 1})
-        b = series(3, {(1, 1): 1})
-        assert a + b == series(3, {(0, 0): 1, (1, 1): 2})
-
-    def test_zero_is_identity(self):
-        a = series(3, {(2, 1): 7})
-        assert a + TruncSeries.zero(3) == a
-
-    def test_cancellation_prunes(self):
-        a = series(3, {(2, 3): 1})
-        b = series(3, {(2, 3): -1})
-        assert a + b == TruncSeries.zero(3)
-        assert (a + b).terms() == []
-
-    def test_mismatched_orders_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            series(3, {(1, 0): 1}) + series(4, {(1, 0): 1})
-
-
 class TestMul:
     def test_exponent_addition(self):
-        assert series(3, {(1, 1): 1}) * series(3, {(1, 2): 1}) == series(3, {(2, 3): 1})
+        assert series(3, {(1, 1): 1}).mul(series(3, {(1, 2): 1})) == series(3, {(2, 3): 1})
 
     def test_one_is_identity(self):
         a = series(3, {(0, 0): 1, (3, 2): 5})
-        assert a * TruncSeries.one(3) == a
+        assert a.mul(one(3)) == a
 
     def test_truncation_discards_high_degrees(self):
         one_plus_z = series(2, {(0, 0): 1, (1, 0): 1})
         one_minus_z = series(2, {(0, 0): 1, (1, 0): -1})
-        assert one_plus_z * one_minus_z == series(2, {(0, 0): 1, (2, 0): -1})
+        assert one_plus_z.mul(one_minus_z) == series(2, {(0, 0): 1, (2, 0): -1})
 
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
-            series(3, {(1, 0): 1}) * series(2, {(1, 0): 1})
+            series(3, {(1, 0): 1}).mul(series(2, {(1, 0): 1}))
 
 
 class TestGeomInverse:
@@ -87,7 +70,7 @@ class TestGeomInverse:
         assert s.geom_inverse() == series(4, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1})
 
     def test_zero_input_gives_one(self):
-        assert TruncSeries.zero(5).geom_inverse() == TruncSeries.one(5)
+        assert TruncSeries(5).geom_inverse() == one(5)
 
     def test_geometric_series_in_zq(self):
         s = series(3, {(1, 1): 1})
@@ -99,20 +82,22 @@ class TestGeomInverse:
 
     @given(zq_series(order_z=4, min_z=1))
     def test_multiplicative_inverse_of_one_minus_s(self, s):
-        one_minus_s = TruncSeries.one(4).add(s.scale(-1))
-        assert one_minus_s * s.geom_inverse() == TruncSeries.one(4)
+        one_minus_s = TruncSeries(4, {zq(0): 1, **{m: -c for m, c in s.terms()}})
+        assert one_minus_s.mul(s.geom_inverse()) == one(4)
 
 
 class TestCoeff:
+    """Coefficients are read by z-degree through ``z_slice``."""
+
     def test_present_term(self):
-        assert series(3, {(0, 0): 1, (1, 1): 2}).coeff(zq(1, 1)) == 2
+        assert series(3, {(0, 0): 1, (1, 1): 2}).z_slice(1) == {zq(1, 1): 2}
 
     def test_absent_term_is_zero(self):
-        assert series(3, {(0, 0): 1, (1, 1): 2}).coeff(zq(2, 0)) == 0
+        assert series(3, {(0, 0): 1, (1, 1): 2}).z_slice(2) == {}
 
     def test_beyond_order_raises_distinct_error(self):
-        with pytest.raises(TruncationError, match="unknown, not zero"):
-            series(3, {(0, 0): 1}).coeff(zq(4, 0))
+        with pytest.raises(TruncationError, match="exceeds truncation order 3"):
+            series(3, {(0, 0): 1}).z_slice(4)
 
     def test_truncation_error_is_a_value_error(self):
         assert issubclass(TruncationError, ValueError)
@@ -120,35 +105,26 @@ class TestCoeff:
 
 class TestRingAxioms:
     @given(zq_series(), zq_series(), zq_series())
-    def test_add_associative_commutative(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-
-    @given(zq_series(), zq_series(), zq_series())
     def test_mul_associative_commutative(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
+        assert a.mul(b).mul(c) == a.mul(b.mul(c))
+        assert a.mul(b) == b.mul(a)
 
     @given(zq_series(), zq_series(), zq_series())
     def test_distributivity(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
+        assert a.mul(plus(b, c)) == plus(a.mul(b), a.mul(c))
 
 
 class TestTruncation:
     @given(zq_series(order_z=5), zq_series(order_z=5))
     def test_product_then_truncate_equals_truncate_then_product(self, a, b):
-        assert (a * b).truncated(3) == a.truncated(3) * b.truncated(3)
+        assert cut(a.mul(b), 3) == cut(a, 3).mul(cut(b, 3))
 
     @given(zq_series(order_z=5, min_z=1))
     def test_geom_inverse_truncation_consistency(self, s):
-        assert s.geom_inverse().truncated(3) == s.truncated(3).geom_inverse()
-
-    def test_cannot_raise_order(self):
-        with pytest.raises(TruncationError):
-            TruncSeries.one(3).truncated(4)
+        assert cut(s.geom_inverse(), 3) == cut(s, 3).geom_inverse()
 
     def test_constructor_discards_beyond_order(self):
-        assert series(2, {(3, 0): 1}) == TruncSeries.zero(2)
+        assert series(2, {(3, 0): 1}) == TruncSeries(2)
 
 
 class TestLevels:
@@ -179,7 +155,7 @@ class TestRendering:
         assert str(s) == "1 + z^3*(4 + q)"
 
     def test_zero_series(self):
-        assert str(TruncSeries.zero(2)) == "0"
+        assert str(TruncSeries(2)) == "0"
 
     def test_negative_coefficients(self):
         s = series(2, {(0, 0): 1, (2, 0): -1, (2, 2): -3})
@@ -203,7 +179,7 @@ class TestRendering:
 
 class TestImmutability:
     def test_attributes_frozen(self):
-        s = TruncSeries.one(2)
+        s = one(2)
         with pytest.raises(AttributeError):
             s.order_z = 5
 

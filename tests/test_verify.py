@@ -121,7 +121,7 @@ class TestEarlyStop:
         assert result.detail_lines == ["n=0 trees checked", "n=1 trees checked", "n=2 trees checked"]
 
     def test_pattern_counts_stops_after_five_failures(self, monkeypatch):
-        monkeypatch.setattr(verify, "binom_level_sum", lambda t, k: -1)
+        monkeypatch.setattr(verify, "binom_profile_sum", lambda profile, k: -1)
         result = verify.check_pattern_counts(3, k_max=2)
         assert result.ok is False
         assert result.failures == [
@@ -175,7 +175,7 @@ class TestEarlyStop:
         ]
 
     def test_pattern_series_reports_a_wrong_formula(self, monkeypatch):
-        monkeypatch.setattr(verify, "binom_level_sum", lambda t, k: 0)
+        monkeypatch.setattr(verify, "binom_profile_sum", lambda profile, k: 0)
         result = verify.check_pattern_series(3, ks=(2, 3))
         assert result.ok is False
         assert result.failures == [
