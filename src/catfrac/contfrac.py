@@ -1,7 +1,8 @@
-"""Continued-fraction evaluation with a pluggable weight per level.
+"""Continued-fraction evaluation with a preset weight per level.
 
 The generating function is the nested fraction 1/(1 - w_1/(1 - w_2/...)),
-where the weight monomial w_l prices one vertex at level l.  Presets:
+where the weight monomial w_l prices one vertex at level l.  The four
+presets:
 
     catalan        w_l = z                    counts trees by edges
     area           w_l = z*q^l                q tracks the level sum, which
@@ -10,13 +11,13 @@ where the weight monomial w_l prices one vertex at level l.  Presets:
                                               patterns of the tree's word
     multivariate   w_l = v_l                  one variable per level, the
                                               full level-profile census
-    custom         explicit per-level list
 
-Every weight carries at least one z, so a truncation at z-order N only ever
-sees the first N levels: evaluating at depth >= order is exact.  The same
-bound lets the path DP in ``eval_cf`` pack each monomial's q- and
-v-exponents into one integer key whose digits cannot carry, so the DP adds
-ints and builds ``Monomial``s only for the final series.
+Every weight carries exactly one z (one edge), so a truncation at z-order N
+only ever sees the first N levels: evaluating at depth >= order is exact.
+The path DP in ``eval_cf`` therefore sweeps two rows of z-degree at a time,
+and the same bound lets it pack each monomial's q- and v-exponents into one
+integer key whose digits cannot carry, so the DP adds ints and builds
+``Monomial``s only for the final series.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from typing import NamedTuple
 from .series import Monomial, TruncSeries
 from .util import binom
 
-_KINDS = ("catalan", "area", "increasing", "multivariate", "custom")
+_KINDS = ("catalan", "area", "increasing", "multivariate")
 
 
 class _WeightFields(NamedTuple):
     kind: str
     k: int | None = None
-    levels: tuple[Monomial, ...] | None = None
 
 
 class LevelWeights(_WeightFields):
@@ -40,21 +40,12 @@ class LevelWeights(_WeightFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, k: int | None = None, levels: tuple[Monomial, ...] | None = None):
+    def __new__(cls, kind: str, k: int | None = None):
         if kind not in _KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         if kind == "increasing" and (k is None or k < 1):
             raise ValueError("increasing-pattern weights need k >= 1")
-        if kind == "custom":
-            if not levels:
-                raise ValueError("custom weights need at least one level")
-            for w in levels:
-                if w.z_deg < 1:
-                    raise ValueError(f"level weight {w} must carry a factor of z")
-            pure_v = [bool(w.v_degs) for w in levels]
-            if any(pure_v) and not all(pure_v):
-                raise ValueError("custom weights must not mix z,q monomials with level variables")
-        return super().__new__(cls, kind, k, levels)
+        return super().__new__(cls, kind, k)
 
     @classmethod
     def catalan(cls) -> "LevelWeights":
@@ -72,10 +63,6 @@ class LevelWeights(_WeightFields):
     def multivariate(cls) -> "LevelWeights":
         return cls("multivariate")
 
-    @classmethod
-    def custom(cls, levels) -> "LevelWeights":
-        return cls("custom", levels=tuple(levels))
-
     def weight(self, level: int) -> Monomial:
         if level < 1:
             raise ValueError("levels are indexed from 1")
@@ -85,11 +72,7 @@ class LevelWeights(_WeightFields):
             return Monomial(1, level, ())
         if self.kind == "increasing":
             return Monomial(1, binom(level - 1, self.k - 1), ())
-        if self.kind == "multivariate":
-            return Monomial.level(level)
-        if level > len(self.levels):
-            raise ValueError(f"custom weights defined through level {len(self.levels)} only")
-        return self.levels[level - 1]
+        return Monomial.level(level)
 
     def __str__(self) -> str:
         if self.kind == "increasing":
@@ -104,15 +87,16 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     coefficient is a sum over Dyck paths of height <= depth in which an
     up-step to height l carries w_l and a down-step carries 1.  A cell
     (d, h) holds the weighted path prefixes that end at height h with
-    z-degree d; the z^d slice is cell (d, 0).  Every weight carries a z, so
-    no path of z-degree <= order_z climbs above order_z: levels past
+    z-degree d; the z^d slice is cell (d, 0).  Every weight carries one z,
+    so no path of z-degree <= order_z climbs above order_z: levels past
     min(depth, order_z) are never looked up, and any depth >= order_z gives
     the exact series.
 
     A cell maps a packed exponent to its coefficient.  The key of
     q^a * v1^b1 * v2^b2 * ... is a + Q*(b1 + b2*V + b3*V^2 + ...); the
-    z-degree is the row d, so an up-step to level l moves a prefix to row
-    d + z_deg(w_l) and adds the fixed key of w_l.  Such a path takes at most
+    z-degree is the row d.  An up-step to level l adds the fixed key of w_l
+    and moves a prefix from cell (d, l-1), the only up-step source of cell
+    (d+1, l), so the DP sweeps two rows at a time.  A path takes at most
     order_z up-steps, so its q-degree stays below Q = order_z*max_q + 1 and
     each v-degree below V = order_z*max_v + 1 (max over the weights looked
     up): no digit carries, and every key unpacks to one monomial.
@@ -126,26 +110,19 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     q_base = order_z * max((w.q_deg for w in ups), default=0) + 1
     v_base = order_z * max((max(w.v_degs, default=0) for w in ups), default=0) + 1
     steps = [w.q_deg + q_base * sum(b * v_base**i for i, b in enumerate(w.v_degs)) for w in ups]
-    # rows[d][h] is cell (d, h); up-steps fill rows ahead of the one read.
-    rows: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
+    row: dict[int, dict[int, int]] = {0: {0: 1}}
     slices: dict[int, dict[int, int]] = {}
     for d in range(order_z + 1):
-        row = rows.pop(d, {})
+        # row[h] is cell (d, h); up-steps fill cell (d+1, h+1) of the next row.
+        nxt: dict[int, dict[int, int]] = {}
         # Down-steps keep d, so heights are read top-down within a row.
         for h in range(top, -1, -1):
             cell = row.get(h)
             if not cell:
                 continue
-            if h < top and d + ups[h].z_deg <= order_z:
-                target = rows.setdefault(d + ups[h].z_deg, {})
-                above = target.get(h + 1)
+            if h < top and d < order_z:
                 step = steps[h]
-                if above is None:
-                    target[h + 1] = {key + step: c for key, c in cell.items()}
-                else:
-                    for key, c in cell.items():
-                        key += step
-                        above[key] = above.get(key, 0) + c
+                nxt[h + 1] = {key + step: c for key, c in cell.items()}
             if h == 0:
                 slices[d] = cell
                 continue
@@ -155,6 +132,7 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
             else:
                 for key, c in cell.items():
                     below[key] = below.get(key, 0) + c
+        row = nxt
     out: dict[Monomial, int] = {}
     for d, cell in slices.items():
         for key, c in cell.items():

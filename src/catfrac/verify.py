@@ -1,8 +1,8 @@
 """Exhaustive cross-checks: continued-fraction series against brute-force censuses.
 
 Each check pairs two independent routes to the same numbers and compares them
-exactly, reporting counterexamples in the canonical encodings.  Scans stop
-early once a handful of failures have been collected.
+exactly, reporting counterexamples in the canonical encodings.  Every check
+stops once five failures have been collected.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def check_level_census(max_edges: int) -> CheckResult:
         census = level_profile_census(n)
         got = z_slice_profiles(series, n)
         result.checked += sum(census.values())
-        if got != census:
-            result.fail(f"n={n}: series slice {got} != census {census}")
+        if got != census and not result.fail(f"n={n}: series slice {got} != census {census}"):
+            return result
         result.detail_lines.append(f"n={n} profiles={len(census)} trees={sum(census.values())}")
     return result
 
@@ -137,8 +137,10 @@ def check_area_series(max_edges: int) -> CheckResult:
         reversed_poly = {binom(n + 1, 2) - a: c for a, c in poly.items()}
         got = z_slice_q(series, n)
         result.checked += sum(poly.values())
-        if got != reversed_poly:
-            result.fail(f"n={n}: series slice {got} != reversed census {reversed_poly}")
+        if got != reversed_poly and not result.fail(
+            f"n={n}: series slice {got} != reversed census {reversed_poly}"
+        ):
+            return result
         result.detail_lines.append(f"n={n} paths={sum(poly.values())}")
     return result
 
@@ -235,8 +237,10 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
                 census[binom_profile_sum(profile, k)] += count
             got = z_slice_q(series, n)
             result.checked += sum(census.values())
-            if got != dict(census):
-                result.fail(f"k={k} n={n}: series slice {got} != census {dict(census)}")
+            if got != dict(census) and not result.fail(
+                f"k={k} n={n}: series slice {got} != census {dict(census)}"
+            ):
+                return result
         result.detail_lines.append(f"k={k} checked through n={max_edges}")
     return result
 
@@ -262,17 +266,20 @@ def check_bijections(max_edges: int) -> CheckResult:
                     return result
             images.add(word)
         result.checked += count
-        if len(images) != count:
-            result.fail(f"n={n}: {count} trees but only {len(images)} distinct words")
+        if len(images) != count and not result.fail(
+            f"n={n}: {count} trees but only {len(images)} distinct words"
+        ):
+            return result
         if n <= PERM_ORACLE_MAX:
             avoiders = enumerate_132_avoiders(n)
             if images != set(avoiders):
                 extra = images - set(avoiders)
                 missing = set(avoiders) - images
-                result.fail(
+                if not result.fail(
                     f"n={n}: image != avoider set; extra={sorted(map(format_perm, extra))[:3]} "
                     f"missing={sorted(map(format_perm, missing))[:3]}"
-                )
+                ):
+                    return result
             for word in avoiders:
                 if tree_to_perm(perm_to_tree(word)) != word:
                     if not result.fail(f"n={n} word={format_perm(word)} inverse round trip broke"):

@@ -48,23 +48,13 @@ class TestWeights:
     def test_multivariate_weights(self):
         assert LevelWeights.multivariate().weight(2) == Monomial(1, 0, (0, 1))
 
-    def test_custom_weights_resolve_and_bound(self):
-        w = LevelWeights.custom([zq(1, 5), zq(2, 0)])
-        assert w.weight(2) == zq(2, 0)
-        with pytest.raises(ValueError):
-            w.weight(3)
-
-    def test_custom_rejects_constant_weight(self):
-        with pytest.raises(ValueError, match="factor of z"):
-            LevelWeights.custom([zq(0, 1)])
-
-    def test_custom_rejects_mixed_modes(self):
-        with pytest.raises(ValueError, match="mix"):
-            LevelWeights.custom([zq(1, 0), Monomial.level(2)])
-
     def test_increasing_requires_k(self):
         with pytest.raises(ValueError):
             LevelWeights("increasing")
+
+    def test_only_the_four_presets_are_kinds(self):
+        with pytest.raises(ValueError, match="unknown weight kind"):
+            LevelWeights("custom")
 
 
 class TestEvalCF:
@@ -98,12 +88,6 @@ class TestEvalCF:
         s = eval_cf(LevelWeights.multivariate(), 3, 3)
         assert coeff(s, level_monomial(2, 1)) == 2
 
-    def test_custom_weights(self):
-        # 1/(1 - z*q^5/(1 - z)) through z^2
-        weights = LevelWeights.custom([zq(1, 5), zq(1, 0)])
-        s = eval_cf(weights, 2, 2)
-        assert s == TruncSeries(2, {zq(0): 1, zq(1, 5): 1, zq(2, 5): 1, zq(2, 10): 1})
-
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             eval_cf(LevelWeights.catalan(), 0, 3)
@@ -117,59 +101,44 @@ class TestEvalCF:
         assert [coeff(s, zq(n)) for n in range(5)] == [1, 1, 1, 1, 1]
 
     def test_depth_far_past_order_looks_up_only_the_reachable_levels(self):
-        # two custom levels serve any depth once the order caps the height at 2
-        weights = LevelWeights.custom([zq(1, 5), zq(1, 0)])
-        assert eval_cf(weights, 10**8, 2) == eval_cf(weights, 2, 2)
+        # the order caps the height at 3, so a huge depth builds three weights only
+        weights = LevelWeights.increasing(3)
+        assert eval_cf(weights, 10**8, 3) == eval_cf(weights, 3, 3)
 
 
-_REFERENCE_CASES = [
+_PRESETS = [
     LevelWeights.catalan(),
     LevelWeights.area(),
-    *(LevelWeights.increasing(k) for k in range(1, 6)),
+    *(LevelWeights.increasing(k) for k in range(1, 7)),
     LevelWeights.multivariate(),
-    # a z^2 weight makes some up-steps skip a z-degree
-    LevelWeights.custom([zq(1, 2), zq(2, 0), zq(1, 1), zq(3, 5)]),
 ]
 
 
 class TestAgainstReference:
     """The path DP against the bottom-up loop of series inversions."""
 
-    @pytest.mark.parametrize("weights", _REFERENCE_CASES, ids=str)
+    @pytest.mark.parametrize("weights", _PRESETS, ids=str)
     @pytest.mark.parametrize("order", range(13))
     def test_matches_bottom_up_evaluation(self, weights, order):
         depths = {1, 2, order, order + 3} - {0}
-        if weights.kind == "custom":
-            depths = {d for d in depths if d <= len(weights.levels)}
         for depth in sorted(depths):
             assert eval_cf(weights, depth, order) == reference_eval_cf(weights, depth, order), depth
 
 
 @st.composite
-def custom_cases(draw):
-    """(weights, depth, order): custom weights on at least ``depth`` levels.
-
-    z,q weights take z-degree 1..3 and q up to 40; level-variable weights
-    take v-degrees 0..2 per variable, which fixes their z-degree.
-    """
-    order = draw(st.integers(0, 7))
+def preset_cases(draw):
+    """(weights, depth, order): any preset, order <= 9 and depth <= order + 2."""
+    order = draw(st.integers(0, 9))
     depth = draw(st.integers(1, order + 2))
-    n_levels = depth + draw(st.integers(0, 1))
-    if draw(st.booleans()):
-        weight = st.builds(Monomial, st.integers(1, 3), st.integers(0, 40), st.just(()))
-    else:
-        v_degs = st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any)
-        weight = v_degs.map(lambda v: level_monomial(*v))
-    levels = draw(st.lists(weight, min_size=n_levels, max_size=n_levels))
-    return LevelWeights.custom(levels), depth, order
+    return draw(st.sampled_from(_PRESETS)), depth, order
 
 
 class TestPackedExponents:
     """Every exponent digit of the packed cell keys, up to its largest value."""
 
     @settings(deadline=None, max_examples=150)
-    @given(custom_cases())
-    def test_custom_weights_match_the_reference(self, case):
+    @given(preset_cases())
+    def test_presets_match_the_reference(self, case):
         weights, depth, order = case
         s = eval_cf(weights, depth, order)
         assert s == reference_eval_cf(weights, depth, order)
@@ -179,9 +148,9 @@ class TestPackedExponents:
 
     @pytest.mark.parametrize("order", range(8))
     def test_q_digit_reaches_its_top(self, order):
-        # z*q^9 on one level: the path (ud)^order has q-degree 9*order = Q - 1
-        s = eval_cf(LevelWeights.custom([zq(1, 9)]), 1, order)
-        assert s == TruncSeries(order, {zq(n, 9 * n): 1 for n in range(order + 1)})
+        # area at depth 1 weighs z*q: the path (ud)^order has q-degree order = Q - 1
+        s = eval_cf(LevelWeights.area(), 1, order)
+        assert s == TruncSeries(order, {zq(n, n): 1 for n in range(order + 1)})
 
     @pytest.mark.parametrize("order", range(8))
     def test_level_digits_reach_the_order(self, order):

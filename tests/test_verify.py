@@ -186,6 +186,66 @@ class TestEarlyStop:
         assert result.checked == 2 * (1 + 1 + 2 + 5)
         assert result.detail_lines == ["k=2 checked through n=3", "k=3 checked through n=3"]
 
+    @staticmethod
+    def _double_the_census(monkeypatch):
+        real = verify.level_profile_census
+        monkeypatch.setattr(verify, "level_profile_census", lambda n: {p: 2 * c for p, c in real(n).items()})
+
+    def test_level_census_stops_after_five_failures(self, monkeypatch, capsys):
+        self._double_the_census(monkeypatch)
+        result = verify.check_level_census(7)
+        assert result.ok is False
+        assert result.failures[:3] == [
+            "n=0: series slice {(): 1} != census {(): 2}",
+            "n=1: series slice {(1,): 1} != census {(1,): 2}",
+            "n=2: series slice {(1, 1): 1, (2,): 1} != census {(2,): 2, (1, 1): 2}",
+        ]
+        assert [f.split(":")[0] for f in result.failures] == ["n=0", "n=1", "n=2", "n=3", "n=4"]
+        assert result.checked == 2 * (1 + 1 + 2 + 5 + 14)
+        assert result.detail_lines == [
+            "n=0 profiles=1 trees=2",
+            "n=1 profiles=1 trees=2",
+            "n=2 profiles=2 trees=4",
+            "n=3 profiles=4 trees=10",
+        ]
+        assert main(["verify", "--check", "theorem1"]) == 1
+        assert capsys.readouterr().out.count("  FAIL n=") == 5
+
+    def test_pattern_series_stops_after_five_failures(self, monkeypatch, capsys):
+        self._double_the_census(monkeypatch)
+        result = verify.check_pattern_series(8, ks=(2, 3, 4))
+        assert result.ok is False
+        assert result.failures == [
+            "k=2 n=0: series slice {0: 1} != census {0: 2}",
+            "k=2 n=1: series slice {0: 1} != census {0: 2}",
+            "k=2 n=2: series slice {0: 1, 1: 1} != census {0: 2, 1: 2}",
+            "k=2 n=3: series slice {0: 1, 1: 2, 2: 1, 3: 1} != census {0: 2, 1: 4, 2: 2, 3: 2}",
+            "k=2 n=4: series slice {0: 1, 1: 3, 2: 3, 3: 3, 4: 2, 5: 1, 6: 1} "
+            "!= census {0: 2, 1: 6, 2: 6, 3: 6, 4: 4, 5: 2, 6: 2}",
+        ]
+        assert result.checked == 2 * (1 + 1 + 2 + 5 + 14)
+        assert result.detail_lines == []
+        assert main(["verify", "--check", "corollary6"]) == 1
+        assert capsys.readouterr().out.count("  FAIL k=2 n=") == 5
+
+    def test_area_series_stops_after_five_failures(self, monkeypatch):
+        real = verify.area_polynomial
+        monkeypatch.setattr(verify, "area_polynomial", lambda n: {a: 2 * c for a, c in real(n).items()})
+        result = verify.check_area_series(8)
+        assert result.ok is False
+        assert [f.split(":")[0] for f in result.failures] == ["n=0", "n=1", "n=2", "n=3", "n=4"]
+        assert result.failures[2] == "n=2: series slice {2: 1, 3: 1} != reversed census {2: 2, 3: 2}"
+        assert result.detail_lines == ["n=0 paths=2", "n=1 paths=2", "n=2 paths=4", "n=3 paths=10"]
+
+    def test_bijections_stop_after_five_avoider_set_failures(self, monkeypatch):
+        monkeypatch.setattr(verify, "enumerate_132_avoiders", lambda n: [])
+        result = verify.check_bijections(8)
+        assert result.ok is False
+        assert [f.split(":")[0] for f in result.failures] == ["n=0", "n=1", "n=2", "n=3", "n=4"]
+        assert result.failures[2] == "n=2: image != avoider set; extra=['1 2', '2 1'] missing=[]"
+        assert result.checked == 1 + 1 + 2 + 5 + 14
+        assert len(result.detail_lines) == 4
+
 
 REPO = Path(__file__).resolve().parent.parent
 
