@@ -25,7 +25,6 @@ from .perms import (
     perm_to_tree,
     tree_to_perm,
 )
-from .series import TruncationError
 from .trees import OrderedTree, decode, encode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
@@ -267,9 +266,6 @@ def main(argv=None) -> int:
         # interpreter's flush at exit does not fail on the closed pipe again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except TruncationError as exc:
-        sys.stderr.write(_error_line(f"beyond truncation: {exc}"))
-        return 2
     except ValueError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2

@@ -22,10 +22,10 @@ integer key whose digits cannot carry, so the DP adds ints and builds
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .series import Monomial, TruncSeries
-from .util import binom
 
 _KINDS = ("catalan", "area", "increasing", "multivariate")
 
@@ -71,7 +71,7 @@ class LevelWeights(_WeightFields):
         if self.kind == "area":
             return Monomial(1, level, ())
         if self.kind == "increasing":
-            return Monomial(1, binom(level - 1, self.k - 1), ())
+            return Monomial(1, comb(level - 1, self.k - 1), ())
         return Monomial.level(level)
 
     def __str__(self) -> str:

@@ -7,10 +7,10 @@ an E step, returning upward emits an N step.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .trees import OrderedTree, decode, encode, generate_trees, level_sum
-from .util import binom
 
 
 class PathParseError(ValueError):
@@ -106,7 +106,7 @@ def area(p: DyckPath) -> int:
 def area_via_levels(t: OrderedTree) -> int:
     """Area of the corresponding path computed from the tree's level sum alone."""
     n = t.n_edges
-    return binom(n + 1, 2) - level_sum(t)
+    return comb(n + 1, 2) - level_sum(t)
 
 
 def generate_paths(n: int) -> Iterator[DyckPath]:

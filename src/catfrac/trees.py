@@ -13,9 +13,8 @@ depth work.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Iterator, Sequence
-
-from .util import binom
 
 
 class TreeParseError(ValueError):
@@ -138,7 +137,7 @@ def binom_profile_sum(profile: Sequence[int], k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sum(c * binom(level - 1, k - 1) for level, c in enumerate(profile, start=1))
+    return sum(c * comb(level - 1, k - 1) for level, c in enumerate(profile, start=1))
 
 
 def binom_level_sum(t: OrderedTree, k: int) -> int:

@@ -8,6 +8,7 @@ stops once five failures have been collected.
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
@@ -23,7 +24,6 @@ from .perms import (
 )
 from .series import TruncSeries
 from .trees import binom_profile_sum, encode, generate_trees, level_profile
-from .util import binom
 
 _MAX_FAILURES = 5
 
@@ -77,11 +77,6 @@ def z_slice_q(series: TruncSeries, n: int) -> dict[int, int]:
     return out
 
 
-def z_slice_profiles(series: TruncSeries, n: int) -> dict[tuple[int, ...], int]:
-    """The z^n coefficient as a {level profile: coefficient} map (multivariate)."""
-    return {m.v_degs: c for m, c in series.z_slice(n).items()}
-
-
 # -- checks -------------------------------------------------------------------
 
 
@@ -91,7 +86,7 @@ def check_level_census(max_edges: int) -> CheckResult:
     series = eval_cf(LevelWeights.multivariate(), max(max_edges, 1), max_edges)
     for n in range(max_edges + 1):
         census = level_profile_census(n)
-        got = z_slice_profiles(series, n)
+        got = {m.v_degs: c for m, c in series.z_slice(n).items()}
         result.checked += sum(census.values())
         if got != census and not result.fail(f"n={n}: series slice {got} != census {census}"):
             return result
@@ -134,7 +129,7 @@ def check_area_series(max_edges: int) -> CheckResult:
     series = eval_cf(LevelWeights.area(), max(max_edges, 1), max_edges)
     for n in range(max_edges + 1):
         poly = area_polynomial(n)
-        reversed_poly = {binom(n + 1, 2) - a: c for a, c in poly.items()}
+        reversed_poly = {comb(n + 1, 2) - a: c for a, c in poly.items()}
         got = z_slice_q(series, n)
         result.checked += sum(poly.values())
         if got != reversed_poly and not result.fail(

@@ -7,6 +7,7 @@ are the stated wall-clock budgets, measured around the relevant computation.
 
 import time
 from collections import Counter
+from math import comb
 
 from catfrac.contfrac import LevelWeights, eval_cf
 from catfrac.paths import area, generate_paths, path_to_tree, tree_to_path
@@ -20,7 +21,6 @@ from catfrac.perms import (
 )
 from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import binom_level_sum, generate_trees, level_profile, level_sum
-from catfrac.util import binom
 from catfrac.verify import area_polynomial, z_slice_q
 
 from oracles import (
@@ -116,7 +116,7 @@ def test_criterion_4_area_polynomial_reversal():
         poly = area_polynomial(n)
         if n in FROZEN_AREA:
             ok = ok and poly == FROZEN_AREA[n]
-        reversed_poly = {binom(n + 1, 2) - a: c for a, c in poly.items()}
+        reversed_poly = {comb(n + 1, 2) - a: c for a, c in poly.items()}
         ok = ok and z_slice_q(series, n) == reversed_poly
     report(4, "area polynomial reversed vs series", ok)
 
@@ -143,7 +143,7 @@ def test_criterion_6_area_formula_streamed():
     for n in range(13):
         for t in generate_trees(n):
             total += 1
-            if area(tree_to_path(t)) != binom(n + 1, 2) - level_sum(t):
+            if area(tree_to_path(t)) != comb(n + 1, 2) - level_sum(t):
                 ok = False
     elapsed = time.perf_counter() - start
     ok = ok and total == sum(CATALAN_LITERALS[: 13]) and elapsed < 60.0
@@ -248,7 +248,7 @@ def test_criterion_11_increasing_k3_order_30():
         # height <= 2 trees carry no (123) pattern; from n = 3 the chain's
         # identity word is the only one with all C(n,3) triples increasing
         ok = ok and sum(poly.values()) == table[n] and poly.get(0) == 2 ** (n - 1)
-        ok = ok and (n < 3 or poly.get(binom(n, 3)) == 1)
+        ok = ok and (n < 3 or poly.get(comb(n, 3)) == 1)
     reference = reference_eval_cf(LevelWeights.increasing(3), 14, 14)
     ok = ok and TruncSeries(14, dict(series.terms())) == reference
     report(11, "k=3 order 30 identities, equal to bottom-up through 14", ok, f"{elapsed:.2f}s")

@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -482,6 +484,62 @@ class TestPublicNames:
         exec("from catfrac import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(catfrac.__all__)
+
+    def test_root_exports_only_the_version(self):
+        import catfrac
+
+        assert catfrac.__all__ == ["__version__"]
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, catfrac; print(sorted(m for m in sys.modules if m.split('.')[0] == 'catfrac'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout) == (0, "['catfrac']\n"), proc.stderr
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ catfrac ...`` line of README.md with the output lines shown under it."""
+    examples: list[tuple[str, list[str]]] = []
+    in_block = False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("$ catfrac "):
+            examples.append((line[len("$ catfrac ") :], []))
+        elif in_block and examples and not line.startswith("$"):
+            examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    """The README's shell examples, compared with runs of whitespace collapsed.
+
+    A ``...`` line elides output: the lines above it match the head of the
+    output and the lines below it the tail.
+    """
+
+    def test_all_seven_are_found(self):
+        assert len(README_EXAMPLES) == 7
+
+    @pytest.mark.parametrize("command,shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+    def test_example_prints_what_the_readme_shows(self, capsys, command, shown):
+        code, out, err = run_cli(capsys, *shlex.split(command))
+        assert (code, err) == (0, "")
+        got = [" ".join(line.split()) for line in out.splitlines()]
+        shown = [" ".join(line.split()) for line in shown]
+        if "..." not in shown:
+            assert got == shown
+            return
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1 :]
+        assert len(got) >= len(head) + len(tail)
+        assert got[: len(head)] == head
+        assert got[len(got) - len(tail) :] == tail
 
 
 # Runs in a fresh interpreter whose recursion limit is far below the input

@@ -1,13 +1,16 @@
+import contextlib
+import io
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catfrac import cli
 from catfrac.contfrac import LevelWeights, eval_cf
 from catfrac.series import Monomial, TruncSeries
-from catfrac.trees import generate_trees, level_profile
-from catfrac.util import binom
+from catfrac.trees import binom_profile_sum, generate_trees, level_profile
 
+from conftest import small_trees
 from oracles import catalan_table, fixed_point_check, reference_eval_cf, specialize
 
 
@@ -222,7 +225,24 @@ class TestAgainstTreeCensus:
         s = eval_cf(LevelWeights.catalan(), 8, 8)
         assert [coeff(s, zq(n)) for n in range(9)] == table
 
-    def test_binomial_helper_convention(self):
-        assert binom(2, 5) == 0
-        assert binom(5, -1) == 0
-        assert binom(5, 2) == 10
+
+class TestHugeK:
+    """C(level-1, k-1) weights for k up to 10^12: a level below k weighs z alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**12), st.integers(0, 8), small_trees())
+    def test_increasing_weights_at_any_k(self, k, order, t):
+        s = eval_cf(LevelWeights.increasing(k), max(order, 1), order)
+        catalan = catalan_table(order)
+        for n in range(order + 1):
+            terms = s.z_slice(n)
+            assert sum(terms.values()) == catalan[n]
+            if k > order:
+                assert [m.q_deg for m in terms] == [0]
+            if k == 1:
+                assert [m.q_deg for m in terms] == [n]
+        profile = level_profile(t)
+        if k > len(profile):
+            assert binom_profile_sum(profile, k) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["series", "--weights", f"k={k}", "--order", str(order)]) == 0

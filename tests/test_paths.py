@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 
@@ -12,7 +14,6 @@ from catfrac.paths import (
     tree_to_path,
 )
 from catfrac.trees import LEAF, decode, generate_trees, level_sum
-from catfrac.util import binom
 
 from conftest import small_trees
 from oracles import catalan_table, column_area, dyck_words
@@ -96,15 +97,15 @@ class TestArea:
         for n in range(9):
             areas = [area(p) for p in generate_paths(n)]
             assert min(areas) == 0
-            assert max(areas) == binom(n, 2)
+            assert max(areas) == comb(n, 2)
         # by construction: the chain is flat, the star is the full staircase
         assert area(tree_to_path(CHAIN3)) == 0
-        assert area(tree_to_path(STAR3)) == binom(3, 2)
+        assert area(tree_to_path(STAR3)) == comb(3, 2)
 
 
 class TestAreaViaLevels:
     def test_chain(self):
-        assert area_via_levels(CHAIN3) == binom(4, 2) - 6 == 0
+        assert area_via_levels(CHAIN3) == comb(4, 2) - 6 == 0
 
     def test_star(self):
         assert area_via_levels(STAR3) == 6 - 3 == 3
@@ -119,7 +120,7 @@ class TestAreaViaLevels:
     def test_exhaustive_small(self):
         for n in range(9):
             for t in generate_trees(n):
-                assert area(tree_to_path(t)) == binom(n + 1, 2) - level_sum(t)
+                assert area(tree_to_path(t)) == comb(n + 1, 2) - level_sum(t)
 
 
 class TestGeneratePaths:

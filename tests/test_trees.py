@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -108,11 +109,9 @@ class TestLevelSums:
 
     @given(small_trees())
     def test_binom_level_sum_consistent_with_profile(self, t):
-        from catfrac.util import binom
-
         profile = level_profile(t)
         for k in (2, 3, 4):
-            expected = sum(c * binom(level - 1, k - 1) for level, c in enumerate(profile, start=1))
+            expected = sum(c * comb(level - 1, k - 1) for level, c in enumerate(profile, start=1))
             assert binom_level_sum(t, k) == expected
 
     def test_k_must_be_positive(self):
@@ -121,8 +120,6 @@ class TestLevelSums:
 
     @given(small_trees())
     def test_sums_match_per_vertex_levels_read_off_the_word(self, t):
-        from catfrac.util import binom
-
         levels = []
         depth = 0
         for ch in encode(t):
@@ -133,7 +130,7 @@ class TestLevelSums:
                 depth -= 1
         assert level_sum(t) == sum(levels)
         for k in (1, 2, 3, 4):
-            assert binom_level_sum(t, k) == sum(binom(level - 1, k - 1) for level in levels)
+            assert binom_level_sum(t, k) == sum(comb(level - 1, k - 1) for level in levels)
 
 
 class TestCodec:
