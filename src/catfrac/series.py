@@ -2,9 +2,9 @@
 
 Every generating function in this package lives here: a series is a finite
 map from monomials to exact (arbitrary-precision) integer coefficients,
-truncated at a fixed maximum z-degree.  The z-degree doubles as the total
-edge count, so coefficients beyond the order are *unknown*, not zero, and
-every operation discards them.
+truncated at a fixed maximum z-degree and kept graded: one map per
+z-degree.  The z-degree doubles as the total edge count, so coefficients
+beyond the order are *unknown*, not zero, and every operation discards them.
 
 Values are immutable after construction and all operations are pure, so
 series and monomials are safe to share between threads.
@@ -13,7 +13,7 @@ series and monomials are safe to share between threads.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class TruncationError(ValueError):
@@ -23,11 +23,13 @@ class TruncationError(ValueError):
 class Monomial(NamedTuple):
     """z^z_deg * q^q_deg * v1^v_degs[0] * v2^v_degs[1] * ...
 
-    ``v_degs`` is stored with trailing zeros stripped so equal monomials
-    compare equal no matter how they were built.  When ``v_degs`` is
-    nonempty the z-degree equals ``sum(v_degs)``: each level variable
-    carries exactly one edge.  Tuple ordering gives the canonical sort
-    (z_deg, then q_deg, then v_degs lexicographically) for free.
+    ``v_degs`` is stored as given, and monomials compare as tuples, so
+    ``(1, 0)`` and ``(1,)`` differ.  Every monomial the package builds has
+    no trailing zero (those of ``eval_cf``, ``Monomial.level``, and ``times``
+    of such monomials); a caller who builds one must strip it the same way.
+    When ``v_degs`` is nonempty the z-degree equals ``sum(v_degs)``: each
+    level variable carries exactly one edge.  Tuple ordering gives the
+    canonical sort (z_deg, then q_deg, then v_degs lexicographically) for free.
     """
 
     z_deg: int
@@ -55,34 +57,28 @@ class Monomial(NamedTuple):
 _ONE = Monomial(0, 0, ())
 
 
-def _group_by_z(terms: Iterable[tuple[Monomial, int]]) -> dict[int, list[tuple[Monomial, int]]]:
-    by_z: dict[int, list[tuple[Monomial, int]]] = {}
-    for m, c in terms:
-        by_z.setdefault(m.z_deg, []).append((m, c))
-    return by_z
-
-
 class TruncSeries:
     """Exact polynomial truncated at a fixed z-order.
 
-    Stored sparsely: no zero coefficients, no monomial of z-degree beyond
+    Stored sparsely as one dict per z-degree, ``{z: {Monomial: coeff}}``:
+    no zero coefficient, no empty slice, no monomial of z-degree beyond
     ``order_z`` (such terms are silently discarded, which *is* the ring's
     truncation semantics).  Binary operations require operands of equal
     order; mixing orders is a usage error because the truncated tails differ.
     """
 
-    __slots__ = ("order_z", "_terms")
+    __slots__ = ("order_z", "_by_z")
 
     def __init__(self, order_z: int, terms: Mapping[Monomial, int] | None = None):
         if order_z < 0:
             raise ValueError("order_z must be nonnegative")
-        clean: dict[Monomial, int] = {}
+        by_z: dict[int, dict[Monomial, int]] = {}
         if terms:
             for m, c in terms.items():
                 if c and m.z_deg <= order_z:
-                    clean[m] = c
+                    by_z.setdefault(m.z_deg, {})[m] = c
         object.__setattr__(self, "order_z", int(order_z))
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_by_z", by_z)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -91,7 +87,7 @@ class TruncSeries:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical (z_deg, q_deg, v_degs) order."""
-        return sorted(self._terms.items())
+        return [t for z in sorted(self._by_z) for t in sorted(self._by_z[z].items())]
 
     def z_slice(self, n: int) -> dict[Monomial, int]:
         """All terms of z-degree exactly n, in canonical order."""
@@ -99,12 +95,12 @@ class TruncSeries:
             raise TruncationError(
                 f"z-degree {n} exceeds truncation order {self.order_z}"
             )
-        return dict(sorted((m, c) for m, c in self._terms.items() if m.z_deg == n))
+        return dict(sorted(self._by_z.get(n, {}).items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.order_z == other.order_z and self._terms == other._terms
+        return self.order_z == other.order_z and self._by_z == other._by_z
 
     __hash__ = None
 
@@ -126,14 +122,12 @@ class TruncSeries:
         self._check_compat(other)
         order = self.order_z
         out: dict[Monomial, int] = {}
-        by_a = _group_by_z(self._terms.items())
-        by_b = _group_by_z(other._terms.items())
-        for za, terms_a in by_a.items():
-            for zb, terms_b in by_b.items():
+        for za, terms_a in self._by_z.items():
+            for zb, terms_b in other._by_z.items():
                 if za + zb > order:
                     continue
-                for ma, ca in terms_a:
-                    for mb, cb in terms_b:
+                for ma, ca in terms_a.items():
+                    for mb, cb in terms_b.items():
                         m = ma.times(mb)
                         out[m] = out.get(m, 0) + ca * cb
         return TruncSeries(order, out)
@@ -145,34 +139,27 @@ class TruncSeries:
         which makes the expansion terminate at the truncation order.
         Computed by the graded recurrence r = 1 + self*r, degree by degree.
         """
-        for m in self._terms:
-            if m.z_deg == 0:
-                raise ValueError(
-                    "geometric inverse needs a series with zero constant term; "
-                    f"found a z-degree-0 term {m}"
-                )
+        if 0 in self._by_z:
+            raise ValueError(
+                "geometric inverse needs a series with zero constant term; "
+                f"found a z-degree-0 term {next(iter(self._by_z[0]))}"
+            )
         order = self.order_z
-        s_by_z = _group_by_z(self._terms.items())
         r_by_z: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
         for d in range(1, order + 1):
             acc: dict[Monomial, int] = {}
-            for j, terms_j in s_by_z.items():
-                if j > d:
-                    continue
+            for j, terms_j in self._by_z.items():
                 r_part = r_by_z.get(d - j)
                 if not r_part:
                     continue
-                for ms, cs in terms_j:
+                for ms, cs in terms_j.items():
                     for mr, cr in r_part.items():
                         m = ms.times(mr)
                         acc[m] = acc.get(m, 0) + cs * cr
             acc = {m: c for m, c in acc.items() if c}
             if acc:
                 r_by_z[d] = acc
-        merged: dict[Monomial, int] = {}
-        for part in r_by_z.values():
-            merged.update(part)
-        return TruncSeries(order, merged)
+        return TruncSeries(order, {m: c for part in r_by_z.values() for m, c in part.items()})
 
     # -- rendering ---------------------------------------------------------
 
@@ -184,7 +171,8 @@ class TruncSeries:
         v1, v2, ...
         """
         parts: list[str] = []
-        for z, group in _group_by_z(self.terms()).items():
+        for z in sorted(self._by_z):
+            group = sorted(self._by_z[z].items())
             inner = _render_poly(group)
             if z == 0:
                 parts.append(inner if len(group) == 1 else f"({inner})")

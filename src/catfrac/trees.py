@@ -81,12 +81,37 @@ _cache: dict[int, tuple[str, ...]] = {0: ("",)}
 
 def _words(n: int) -> Iterable[str]:
     """Words of every tree on n edges by first return, "(" + u + ")" + v."""
-    if n in _cache:
-        return _cache[n]
-    words = (f"({u}){v}" for i in range(n) for u in _words(i) for v in _words(n - 1 - i))
-    if n <= _CACHE_MAX:
-        words = _cache[n] = tuple(words)
-    return words
+    if n > _CACHE_MAX:
+        return _streamed_words(n)
+    if n not in _cache:
+        _cache[n] = tuple(f"({u}){v}" for i in range(n) for u in _words(i) for v in _words(n - 1 - i))
+    return _cache[n]
+
+
+def _streamed_words(n: int) -> Iterator[str]:
+    """``_words(n)`` for n above the cache, in the same order, with no recursion on n.
+
+    A stack holds the root blocks "(" + u + ")" that leave over ``_CACHE_MAX``
+    edges: [edges left, remaining choices (i, u), block]; the rest is cached.
+    """
+    def entry(left: int) -> list:
+        return [left, ((i, u) for i in range(left - 1 - _CACHE_MAX) for u in _words(i)), ""]
+
+    stack = [entry(n)]
+    while stack:
+        left, choices, _ = stack[-1]
+        i, u = next(choices, (None, None))
+        if u is not None:
+            stack[-1][2] = f"({u})"
+            stack.append(entry(left - 1 - i))
+            continue
+        stack.pop()
+        head = "".join(block for _, _, block in stack)
+        for i in range(left - 1 - _CACHE_MAX, left):
+            for u in _words(i):
+                block = f"{head}({u})"
+                for v in _words(left - 1 - i):
+                    yield block + v
 
 
 def generate_trees(n: int) -> Iterator[OrderedTree]:

@@ -549,7 +549,7 @@ import contextlib, io, sys
 from math import comb
 from catfrac import cli
 from catfrac.paths import parse_path, path_to_tree
-from catfrac.trees import binom_level_sum, decode, level_profile, level_sum
+from catfrac.trees import binom_level_sum, decode, generate_trees, level_profile, level_sum
 
 n = 10_000
 shapes = {
@@ -580,6 +580,8 @@ assert level_profile(chain) == (1,) * n
 assert level_sum(chain) == comb(n + 1, 2)
 assert binom_level_sum(chain, 3) == comb(n, 3)
 assert chain.n_edges == n
+first = [t.word for _, t in zip(range(3), generate_trees(n))]
+assert first == ["()" * n, "()" * (n - 2) + "(())", "()" * (n - 3) + "(())()"], [w[-12:] for w in first]
 """
 
 

@@ -149,6 +149,12 @@ class TestPackedExponents:
             assert min(m.z_deg, m.q_deg, *m.v_degs) >= 0
             assert not m.v_degs or (m.v_degs[-1] and m.z_deg == sum(m.v_degs))
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_multivariate_monomials_have_no_trailing_zero(self, n):
+        # equal monomials compare equal only because every one built here is stripped
+        for m, _ in eval_cf(LevelWeights.multivariate(), max(n, 1), n).terms():
+            assert not m.v_degs or m.v_degs[-1] != 0
+
     @pytest.mark.parametrize("order", range(8))
     def test_q_digit_reaches_its_top(self, order):
         # area at depth 1 weighs z*q: the path (ud)^order has q-degree order = Q - 1

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from catfrac.series import Monomial, TruncSeries, TruncationError
 
-from conftest import zq_series
+from conftest import zq_monomials, zq_series
 from oracles import shift_levels, substitute_levels
 
 
@@ -44,6 +44,11 @@ class TestMonomial:
     def test_canonical_sort_order(self):
         ms = [zq(1, 1), zq(0, 2), zq(1, 0), Monomial(1, 0, (1,))]
         assert sorted(ms) == [zq(0, 2), zq(1, 0), Monomial(1, 0, (1,)), zq(1, 1)]
+
+    def test_trailing_zero_is_kept_as_given(self):
+        # no normalising: a caller who builds a monomial strips trailing zeros itself
+        assert Monomial(1, 0, (1, 0)).v_degs == (1, 0)
+        assert Monomial(1, 0, (1, 0)) != Monomial(1, 0, (1,))
 
 
 class TestMul:
@@ -101,6 +106,27 @@ class TestCoeff:
 
     def test_truncation_error_is_a_value_error(self):
         assert issubclass(TruncationError, ValueError)
+
+
+@st.composite
+def flat_terms(draw):
+    """An order and a flat term map reaching two z-degrees past it, zeros included."""
+    order = draw(st.integers(min_value=0, max_value=4))
+    terms = draw(st.dictionaries(zq_monomials(max_z=order + 2), st.integers(min_value=-2, max_value=2), max_size=10))
+    return order, terms
+
+
+class TestGradedStore:
+    @given(flat_terms())
+    def test_slices_hold_exactly_the_kept_terms(self, case):
+        order, terms = case
+        s = TruncSeries(order, terms)
+        assert s == TruncSeries(order, dict(reversed(list(terms.items()))))
+        assert s == TruncSeries(order, {m: c for m, c in terms.items() if c and m.z_deg <= order})
+        listed = s.terms()
+        assert listed == sorted(listed) and all(c for _, c in listed)
+        for n in range(order + 1):
+            assert list(s.z_slice(n).items()) == [(m, c) for m, c in listed if m.z_deg == n]
 
 
 class TestRingAxioms:

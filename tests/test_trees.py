@@ -18,7 +18,7 @@ from catfrac.trees import (
 )
 
 from conftest import random_dyck_words, small_trees
-from oracles import catalan_table
+from oracles import catalan_table, first_return_words
 
 CHAIN3 = decode("((()))")
 STAR3 = decode("()()()")
@@ -55,6 +55,10 @@ class TestGeneration:
         # n=12 goes through the streaming branch
         table = catalan_table(12)
         assert sum(1 for _ in generate_trees(12)) == table[12]
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_streamed_sizes_keep_the_first_return_order(self, n):
+        assert [t.word for t in generate_trees(n)] == first_return_words(n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
