@@ -25,7 +25,7 @@ from .perms import (
     perm_to_tree,
     tree_to_perm,
 )
-from .trees import OrderedTree, decode, encode, generate_trees, level_profile, level_sum
+from .trees import OrderedTree, TreeParseError, decode, encode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
 WEIGHT_TOKENS = "catalan|eq1|eq2|k=<int>|multivariate"
@@ -158,7 +158,11 @@ def cmd_enumerate(args) -> int:
 
 def _to_tree(kind: str, value: str) -> OrderedTree:
     if kind == "tree":
-        return decode(value.strip())
+        try:
+            return decode(value.strip())
+        except TreeParseError as exc:
+            # Report the position in the argument as typed, not in the stripped text.
+            raise TreeParseError(exc.reason, exc.position + len(value) - len(value.lstrip())) from None
     if kind == "path":
         return path_to_tree(parse_path(value))
     return perm_to_tree(parse_perm(value))

@@ -18,6 +18,7 @@ class PathParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at step {position}")
+        self.reason = message
         self.position = position
 
 
@@ -56,7 +57,9 @@ _STEP_ALIASES = {"E": "E", "N": "N", "R": "E", "U": "N", "1": "E", "0": "N"}
 def parse_path(text: str) -> DyckPath:
     """Parse a step word, accepting the {U,R} and {1,0} aliases for {N,E}.
 
-    Whitespace between steps is ignored; case is not significant.
+    Whitespace between steps is ignored; case is not significant.  An error
+    reports the index in ``text``, or the index just past the last step for
+    an unbalanced end.
     """
     out = []
     for pos, ch in enumerate(text):
@@ -66,7 +69,12 @@ def parse_path(text: str) -> DyckPath:
         if step is None:
             raise PathParseError(f"unexpected step {ch!r}", pos)
         out.append(step)
-    return DyckPath("".join(out))
+    try:
+        return DyckPath("".join(out))
+    except PathParseError as exc:
+        where = [pos for pos, ch in enumerate(text) if not ch.isspace()]  # text index of each step
+        at = where[exc.position] if exc.position < len(where) else where[-1] + 1
+        raise PathParseError(exc.reason, at) from None
 
 
 _TO_STEPS = str.maketrans("()", "EN")

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from catfrac import cli
 from catfrac.cli import main
 from catfrac.verify import CHECKS
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, random_dyck_words
 from oracles import catalan_table, first_return_words
 
 
@@ -165,6 +166,55 @@ class TestMapCommand:
         code, _, err = run_cli(capsys, "map", "--from", "path", "--to", "tree", "NE")
         assert code == 2
         assert "step 0" in err
+
+
+_BLANKS = st.text(" \t\n", max_size=2)
+_STEP_SPELLINGS = {"(": "EeRr1", ")": "NnUu0"}
+
+
+@st.composite
+def broken_words(draw):
+    """A bracket word broken once, and the index at which the break shows.
+
+    The break is an unmatched ')', an alien character after any open
+    brackets, or an unclosed '(' at the end; its index is that of the ')' or
+    the alien character, or the word's length for the unclosed end.
+    """
+    head, tail = draw(random_dyck_words(4)), draw(random_dyck_words(4))
+    kind = draw(st.sampled_from(["close", "alien", "open"]))
+    if kind == "close":
+        return head + ")" + tail, len(head)
+    if kind == "alien":
+        head += "(" * draw(st.integers(0, 2))
+        return head + draw(st.sampled_from("x*[2")) + tail, len(head)
+    word = head + "(" + tail
+    return word, len(word)
+
+
+class TestMapErrorPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(broken_words(), st.sampled_from(["tree", "path"]), st.data())
+    def test_position_is_an_index_in_the_argument_as_typed(self, broken, kind, data):
+        word, bad = broken
+        if kind == "tree":
+            lead = data.draw(_BLANKS)
+            value, at = lead + word + data.draw(_BLANKS), len(lead) + bad
+        else:
+            # whitespace before any step, and each bracket spelled as a step
+            value, at = "", None
+            for pos, ch in enumerate(word):
+                value += data.draw(_BLANKS)
+                if pos == bad:
+                    at = len(value)
+                value += data.draw(st.sampled_from(_STEP_SPELLINGS.get(ch, ch)))
+            if at is None:  # the unclosed end: just past the last step
+                at = len(value)
+            value += data.draw(_BLANKS)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["map", "--from", kind, "--to", "perm", value])
+        assert code == 2
+        assert re.search(r"at (?:position|step) (\d+)$", err.getvalue()).group(1) == str(at), (value, err.getvalue())
 
 
 class TestCountCommand:

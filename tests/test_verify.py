@@ -7,6 +7,7 @@ import pytest
 
 from catfrac import verify
 from catfrac.cli import main
+from catfrac.paths import _trusted_path
 from catfrac.trees import OrderedTree
 from catfrac.verify import CheckResult
 
@@ -297,3 +298,26 @@ class TestCliFailurePath:
         assert code == 1
         assert doc["ok"] is False
         assert doc["failures"] == ["counterexample"]
+
+    @staticmethod
+    def _broken_bijections(capsys):
+        code = main(["verify", "--check", "bijections", "--max-edges", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        return [line for line in out.splitlines() if "round trip broke" in line]
+
+    def test_perm_codec_off_by_one_is_a_counterexample(self, capsys, monkeypatch):
+        real = verify.tree_to_perm
+        monkeypatch.setattr(verify, "tree_to_perm", lambda t: tuple(x - 1 for x in real(t)))
+        broke = self._broken_bijections(capsys)
+        assert broke[0] == "  FAIL n=1 tree='()' perm round trip broke: not a permutation of 1..1: [0]"
+        assert all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
+
+    def test_path_codec_with_swapped_steps_is_a_counterexample(self, capsys, monkeypatch):
+        real = verify.tree_to_path
+        swap = str.maketrans("EN", "NE")
+        monkeypatch.setattr(verify, "tree_to_path", lambda t: _trusted_path(real(t).steps.translate(swap)))
+        broke = self._broken_bijections(capsys)
+        assert broke[0] == "  FAIL n=1 tree='()' path round trip broke: unmatched ')' at position 0"
+        assert len(broke) == 5 and all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
