@@ -86,7 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="convert between tree, path, and permutation encodings")
     p_map.add_argument("--from", dest="source", choices=("tree", "path", "perm"), required=True)
     p_map.add_argument("--to", dest="target", choices=("tree", "path", "perm"), required=True)
-    p_map.add_argument("value", help="tree: parentheses; path: E/N word; perm: separated integers")
+    p_map.add_argument(
+        "value",
+        help="tree: parentheses; path: E/N word; "
+        "perm: separated by commas or whitespace, or contiguous digits for n <= 9",
+    )
     p_map.add_argument("--json", action="store_true")
 
     p_count = sub.add_parser("count", help="increasing-pattern count and (132) status of a word")

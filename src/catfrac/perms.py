@@ -58,23 +58,15 @@ def has_132(p: Sequence[int]) -> Optional[tuple[int, int, int]]:
     which suffices: any witness can be improved to one of that form.
     """
     n = len(p)
-    if n < 3:
-        return None
-    # premin[j] = index of the minimum among p[0..j-1]
-    premin = [0] * n
-    best = 0
-    for j in range(1, n):
-        premin[j] = best
-        if p[j] < p[best]:
-            best = j
+    i = 0  # index of the first minimum among p[0..j-1]
     for j in range(1, n - 1):
-        i = premin[j]
         lo, hi = p[i], p[j]
-        if lo >= hi:
-            continue
-        for k in range(j + 1, n):
-            if lo < p[k] < hi:
-                return (i + 1, j + 1, k + 1)
+        if lo < hi:
+            for k in range(j + 1, n):
+                if lo < p[k] < hi:
+                    return (i + 1, j + 1, k + 1)
+        elif hi < lo:
+            i = j
     return None
 
 
@@ -217,13 +209,9 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
     witness = has_132(word)
     if witness is not None:
         raise Pattern132Error(witness)
-    return _decode_avoider(word)
-
-
-def _decode_avoider(w: PermWord) -> OrderedTree:
     parts: list[str] = []
-    next_label = len(w)  # preorder opens the labels n, n-1, ..., 1
-    for label in w:
+    next_label = len(word)  # preorder opens the labels n, n-1, ..., 1
+    for label in word:
         while next_label >= label:
             parts.append("(")
             next_label -= 1
@@ -232,17 +220,9 @@ def _decode_avoider(w: PermWord) -> OrderedTree:
 
 
 def parse_perm(text: str) -> PermWord:
-    """Parse a permutation word: separated integers, or contiguous digits for n <= 9."""
+    """Parse a permutation word: separated by commas or whitespace, or contiguous digits for n <= 9."""
     s = text.strip()
-    if not s:
-        return ()
-    normalized = s.replace(",", " ")
-    if " " in normalized or "\t" in normalized:
-        tokens = normalized.split()
-    elif s.isdigit():
-        tokens = list(s)
-    else:
-        tokens = [s]
+    tokens = list(s) if s.isdigit() else s.replace(",", " ").split()
     try:
         word = tuple(int(tok) for tok in tokens)
     except ValueError:

@@ -73,8 +73,6 @@ class OrderedTree:
         return tuple(out)
 
 
-LEAF = OrderedTree()
-
 # Words up to this edge count are kept as shared tuples; larger sizes stream.
 _CACHE_MAX = 11
 _cache: dict[int, tuple[str, ...]] = {0: ("",)}

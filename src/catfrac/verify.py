@@ -257,6 +257,7 @@ def check_bijections(max_edges: int) -> CheckResult:
         images: set = set()
         for t in generate_trees(n):
             count += 1
+            result.checked += 1
             word = tree_to_perm(t)
             for kind, image, inverse in (("path", tree_to_path(t), path_to_tree), ("perm", word, perm_to_tree)):
                 try:
@@ -269,7 +270,6 @@ def check_bijections(max_edges: int) -> CheckResult:
                     return result
             if n <= PERM_ORACLE_MAX:
                 images.add(word)
-        result.checked += count
         if n <= PERM_ORACLE_MAX:
             avoiders = set(enumerate_132_avoiders(n))
             if images != avoiders and not result.fail(

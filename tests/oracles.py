@@ -44,6 +44,18 @@ def naive_has_132(p):
     return None
 
 
+def prefix_min_132_witness(p):
+    """The documented (132) witness by brute force: the smallest j whose i, the
+    first index of min(p[:j]), has a k > j with p[i] < p[k] < p[j], then the
+    smallest such k; 1-based triple or None."""
+    for j in range(1, len(p)):
+        i = p.index(min(p[:j]))
+        for k in range(j + 1, len(p)):
+            if p[i] < p[k] < p[j]:
+                return (i + 1, j + 1, k + 1)
+    return None
+
+
 def naive_count_increasing(p, k):
     """Increasing patterns of length k by scanning all index subsets."""
     return sum(

@@ -13,9 +13,9 @@ from catfrac.paths import (
     path_to_tree,
     tree_to_path,
 )
-from catfrac.trees import LEAF, decode, generate_trees, level_sum
+from catfrac.trees import decode, generate_trees, level_sum
 
-from conftest import small_trees
+from conftest import LEAF, small_trees
 from oracles import catalan_table, column_area, dyck_words
 
 CHAIN3 = decode("((()))")

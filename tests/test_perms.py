@@ -16,9 +16,9 @@ from catfrac.perms import (
     root_to_leaf_subsets_by_length,
     tree_to_perm,
 )
-from catfrac.trees import LEAF, binom_level_sum, decode, generate_trees
+from catfrac.trees import binom_level_sum, decode, generate_trees
 
-from conftest import small_trees
+from conftest import LEAF, small_trees
 from oracles import (
     avoiders_by_filter,
     catalan_table,
@@ -27,6 +27,7 @@ from oracles import (
     increasing_subsets_by_scan,
     naive_count_increasing,
     naive_has_132,
+    prefix_min_132_witness,
 )
 
 CHAIN3 = decode("((()))")
@@ -89,6 +90,10 @@ class TestHas132:
     @given(perm_words)
     def test_agrees_with_naive_scan(self, word):
         assert (has_132(word) is None) == (naive_has_132(word) is None)
+
+    @given(st.one_of(perm_words, st.lists(st.integers(min_value=1, max_value=5), max_size=10).map(tuple)))
+    def test_witness_is_first_j_at_its_prefix_minimum_then_first_k(self, word):
+        assert has_132(word) == prefix_min_132_witness(word)
 
     @given(perm_words)
     def test_fast_filter_agrees(self, word):
@@ -258,6 +263,14 @@ class TestParsing:
 
     def test_comma_separated(self):
         assert parse_perm("3,1,2") == (3, 1, 2)
+
+    @pytest.mark.parametrize("text", ["1\n2", "1\r\n2", "1 2"])
+    def test_any_whitespace_separates(self, text):
+        assert parse_perm(text) == (1, 2)
+
+    def test_leading_comma_keeps_digits_together(self):
+        with pytest.raises(ValueError, match="not a permutation of 1..1"):
+            parse_perm(",12")
 
     def test_contiguous_digits(self):
         assert parse_perm("312") == (3, 1, 2)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
-    LEAF,
     OrderedTree,
     TreeParseError,
     binom_level_sum,
@@ -17,7 +16,7 @@ from catfrac.trees import (
     level_sum,
 )
 
-from conftest import random_dyck_words, small_trees
+from conftest import LEAF, random_dyck_words, small_trees
 from oracles import catalan_table, first_return_words
 
 CHAIN3 = decode("((()))")

@@ -300,17 +300,19 @@ class TestCliFailurePath:
         assert doc["failures"] == ["counterexample"]
 
     @staticmethod
-    def _broken_bijections(capsys):
-        code = main(["verify", "--check", "bijections", "--max-edges", "3"])
+    def _broken_bijections(capsys, max_edges=3):
+        """The broken round-trip lines and the summary line of a failing run."""
+        code = main(["verify", "--check", "bijections", "--max-edges", str(max_edges)])
         out, err = capsys.readouterr()
         assert code == 1
         assert err == ""
-        return [line for line in out.splitlines() if "round trip broke" in line]
+        lines = out.splitlines()
+        return [line for line in lines if "round trip broke" in line], lines[-1]
 
     def test_perm_codec_off_by_one_is_a_counterexample(self, capsys, monkeypatch):
         real = verify.tree_to_perm
         monkeypatch.setattr(verify, "tree_to_perm", lambda t: tuple(x - 1 for x in real(t)))
-        broke = self._broken_bijections(capsys)
+        broke, _ = self._broken_bijections(capsys)
         assert broke[0] == "  FAIL n=1 tree='()' perm round trip broke: not a permutation of 1..1: [0]"
         assert all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
 
@@ -318,6 +320,14 @@ class TestCliFailurePath:
         real = verify.tree_to_path
         swap = str.maketrans("EN", "NE")
         monkeypatch.setattr(verify, "tree_to_path", lambda t: _trusted_path(real(t).steps.translate(swap)))
-        broke = self._broken_bijections(capsys)
+        broke, summary = self._broken_bijections(capsys)
         assert broke[0] == "  FAIL n=1 tree='()' path round trip broke: unmatched ')' at position 0"
         assert len(broke) == 5 and all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
+        # the fifth failure stops the run inside n=3, after 1 + 1 + 2 + 2 trees
+        assert summary == "FAIL bijections (checked 6)"
+
+    def test_decoder_returning_another_valid_tree_is_a_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "path_to_tree", lambda path: OrderedTree())
+        broke, summary = self._broken_bijections(capsys, max_edges=2)
+        assert broke[0] == "  FAIL n=1 tree='()' path round trip broke"
+        assert summary == "FAIL bijections (checked 4)"
