@@ -220,14 +220,12 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
 
 
 def parse_perm(text: str) -> PermWord:
-    """Parse a permutation word: separated by commas or whitespace, or contiguous digits for n <= 9."""
+    """Parse a word of ASCII-digit numbers: separated by commas or whitespace, or contiguous for n <= 9."""
     s = text.strip()
     tokens = list(s) if s.isdigit() else s.replace(",", " ").split()
-    try:
-        word = tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise ValueError(f"cannot parse permutation word {text!r}") from None
-    return validate_perm(word)
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"cannot parse permutation word {text!r}")
+    return validate_perm(tuple(map(int, tokens)))
 
 
 def format_perm(p: Sequence[int]) -> str:

@@ -245,6 +245,11 @@ class TestCountCommand:
         code, _, err = run_cli(capsys, "count", "--perm", "1 5 2", "--k", "2")
         assert code == 2
 
+    def test_digit_separator_is_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--perm", "1_0", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse permutation word '1_0'\n"
+
 
 class TestVerifyCommand:
     def test_pass_exits_0(self, capsys):

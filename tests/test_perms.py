@@ -282,6 +282,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_perm("3 a 2")
 
+    @pytest.mark.parametrize("text", ["1_0", "+1 2", "-1 2", "1 +2", "\u0661\u0662", "\uff11\uff12", "1 \u0662"])
+    def test_only_ascii_digits_are_numbers(self, text):
+        # int() reads every one of these as a number
+        with pytest.raises(ValueError, match="cannot parse permutation word"):
+            parse_perm(text)
+
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError, match="not a permutation"):
             parse_perm("1 2 2")

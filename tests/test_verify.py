@@ -99,6 +99,14 @@ class TestCheckResult:
         assert kept[:4] == [True] * 4
         assert kept[4:] == [False] * 6
 
+    def test_ok_is_read_from_the_failures(self):
+        result = CheckResult("x", {})
+        assert result.ok is True
+        with pytest.raises(AttributeError):
+            result.ok = False
+        result.failures.append("c0")
+        assert result.ok is False
+
     def test_bijections_skips_avoider_scan_past_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "PERM_ORACLE_MAX", 3)
         result = verify.check_bijections(5)
@@ -126,11 +134,11 @@ class TestEarlyStop:
         result = verify.check_pattern_counts(3, k_max=2)
         assert result.ok is False
         assert result.failures == [
-            "n=0 k=1 tree='' word=0 levels=-1 chains=0",
-            "n=0 k=2 tree='' word=0 levels=-1 chains=0",
-            "n=1 k=1 tree='()' word=1 levels=-1 chains=1",
-            "n=1 k=2 tree='()' word=0 levels=-1 chains=0",
-            "n=2 k=1 tree='()()' word=2 levels=-1 chains=2",
+            "n=0 k=1 tree='' word=0 levels=-1",
+            "n=0 k=2 tree='' word=0 levels=-1",
+            "n=1 k=1 tree='()' word=1 levels=-1",
+            "n=1 k=2 tree='()' word=0 levels=-1",
+            "n=2 k=1 tree='()()' word=2 levels=-1",
         ]
         assert result.checked == 5
         assert result.detail_lines == ["n=0 trees checked for k <= 2", "n=1 trees checked for k <= 2"]
@@ -153,6 +161,30 @@ class TestEarlyStop:
             "n=1 trees checked for k <= 3",
             "n=2 trees checked for k <= 3",
         ]
+
+    def test_lemma4_catches_a_chain_scan_that_drops_the_deepest_chain(self, monkeypatch, capsys):
+        # theorem5 reads no chains, so lemma4 alone must catch a broken chain scan
+        real = verify.root_to_leaf_subsets_by_length
+
+        def broken(t, k):
+            out = real(t, k)
+            filled = [chains for chains in out.values() if chains]
+            if filled:
+                filled[-1].remove(max(filled[-1], key=sorted))
+            return out
+
+        monkeypatch.setattr(verify, "root_to_leaf_subsets_by_length", broken)
+        assert main(["verify", "--check", "lemma4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("  FAIL ")] == [
+            "  FAIL n=1 k=1 tree='()' patterns=[[1]] chains=[]",
+            "  FAIL n=2 k=1 tree='()()' patterns=[[1], [2]] chains=[[1]]",
+            "  FAIL n=2 k=2 tree='(())' patterns=[[1, 2]] chains=[]",
+            "  FAIL n=3 k=1 tree='()()()' patterns=[[1], [2], [3]] chains=[[1], [2]]",
+            "  FAIL n=3 k=2 tree='()(())' patterns=[[1, 2]] chains=[]",
+        ]
+        assert lines[-1] == "FAIL lemma4 (checked 22)"
+        assert main(["verify", "--check", "theorem5", "--max-edges", "4"]) == 0
 
     def test_word_concatenation_reports_a_broken_split(self, monkeypatch):
         # reversed subtrees shift each block past the wrong neighbours
