@@ -31,23 +31,33 @@ from . import verify as verify_mod
 WEIGHT_TOKENS = "catalan|eq1|eq2|k=<int>|multivariate"
 
 
+def _int(text: str) -> int:
+    """``type=int`` restricted to ASCII digits after an optional minus sign."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_weights(token: str) -> LevelWeights:
     if token == "catalan":
-        return LevelWeights.catalan()
+        return LevelWeights("catalan")
     if token == "eq1":
-        return LevelWeights.increasing(3)
+        return LevelWeights("increasing", 3)
     if token == "eq2":
-        return LevelWeights.area()
+        return LevelWeights("area")
     if token == "multivariate":
-        return LevelWeights.multivariate()
+        return LevelWeights("multivariate")
     if token.startswith("k="):
         try:
-            k = int(token[2:])
-        except ValueError:
+            k = _int(token[2:])
+        except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"bad k in {token!r}") from None
         if k < 1:
             raise argparse.ArgumentTypeError("k must be at least 1")
-        return LevelWeights.increasing(k)
+        return LevelWeights("increasing", k)
     raise argparse.ArgumentTypeError(f"unknown weights {token!r}; expected {WEIGHT_TOKENS}")
 
 
@@ -72,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="evaluate a level-weighted continued fraction")
     p_series.add_argument("--weights", type=_parse_weights, required=True, metavar=WEIGHT_TOKENS)
-    p_series.add_argument("--order", type=int, required=True, help="max z-degree retained")
+    p_series.add_argument("--order", type=_int, required=True, help="max z-degree retained")
     p_series.add_argument(
-        "--depth", type=int, default=None, help="levels to evaluate (default: order; deeper changes nothing)"
+        "--depth", type=_int, default=None, help="levels to evaluate (default: order; deeper changes nothing)"
     )
     p_series.add_argument("--json", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="list ordered trees by edge count")
-    p_enum.add_argument("--edges", type=int, required=True)
+    p_enum.add_argument("--edges", type=_int, required=True)
     p_enum.add_argument("--stats", action="store_true", help="add level profile, level sum, area, word")
     p_enum.add_argument("--json", action="store_true", help="one JSON object per line")
 
@@ -95,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="increasing-pattern count and (132) status of a word")
     p_count.add_argument("--perm", required=True)
-    p_count.add_argument("--k", type=int, required=True)
+    p_count.add_argument("--k", type=_int, required=True)
     p_count.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run an exhaustive cross-check")
     p_verify.add_argument("--check", choices=sorted(verify_mod.CHECKS), required=True)
-    p_verify.add_argument("--max-edges", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
+    p_verify.add_argument("--max-edges", type=_int, default=None)
+    p_verify.add_argument("--k", type=_int, default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.epilog = (
         f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"

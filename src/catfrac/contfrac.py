@@ -14,10 +14,11 @@ presets:
 
 Every weight carries exactly one z (one edge), so a truncation at z-order N
 only ever sees the first N levels: evaluating at depth >= order is exact.
-The path DP in ``eval_cf`` therefore sweeps two rows of z-degree at a time,
-and the same bound lets it pack each monomial's q- and v-exponents into one
-integer key whose digits cannot carry, so the DP adds ints and builds
-``Monomial``s only for the final series.
+The path DP in ``eval_cf`` keeps one running cell per row of z-degree,
+walked from the top height down to the row's finished z-slice, and the same
+bound lets it pack each monomial's q- and v-exponents into one integer key
+whose digits cannot carry, so the DP adds ints and builds a ``Monomial``
+only when a slice is finished.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from typing import NamedTuple
 
 from .series import Monomial, TruncSeries
 
-_KINDS = ("catalan", "area", "increasing", "multivariate")
-
 
 class _WeightFields(NamedTuple):
     kind: str
@@ -36,32 +35,16 @@ class _WeightFields(NamedTuple):
 
 
 class LevelWeights(_WeightFields):
-    """Resolves a level index (from 1) to its weight monomial."""
+    """A preset, ``LevelWeights(kind)`` or ``LevelWeights("increasing", k)``."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, k: int | None = None):
-        if kind not in _KINDS:
+        if kind not in ("catalan", "area", "increasing", "multivariate"):
             raise ValueError(f"unknown weight kind {kind!r}")
         if kind == "increasing" and (k is None or k < 1):
             raise ValueError("increasing-pattern weights need k >= 1")
         return super().__new__(cls, kind, k)
-
-    @classmethod
-    def catalan(cls) -> "LevelWeights":
-        return cls("catalan")
-
-    @classmethod
-    def area(cls) -> "LevelWeights":
-        return cls("area")
-
-    @classmethod
-    def increasing(cls, k: int) -> "LevelWeights":
-        return cls("increasing", k=k)
-
-    @classmethod
-    def multivariate(cls) -> "LevelWeights":
-        return cls("multivariate")
 
     def weight(self, level: int) -> Monomial:
         if level < 1:
@@ -72,7 +55,7 @@ class LevelWeights(_WeightFields):
             return Monomial(1, level, ())
         if self.kind == "increasing":
             return Monomial(1, comb(level - 1, self.k - 1), ())
-        return Monomial.level(level)
+        return Monomial(1, 0, (0,) * (level - 1) + (1,))
 
     def __str__(self) -> str:
         if self.kind == "increasing":
@@ -85,18 +68,20 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
 
     By Flajolet's combinatorial theorem for continued fractions, the z^n
     coefficient is a sum over Dyck paths of height <= depth in which an
-    up-step to height l carries w_l and a down-step carries 1.  A cell
-    (d, h) holds the weighted path prefixes that end at height h with
-    z-degree d; the z^d slice is cell (d, 0).  Every weight carries one z,
-    so no path of z-degree <= order_z climbs above order_z: levels past
-    min(depth, order_z) are never looked up, and any depth >= order_z gives
-    the exact series.
+    up-step to height l carries w_l and a down-step carries 1.  Cell (d, h)
+    holds the weighted path prefixes of z-degree d that end at height h.
+    Every weight carries one z, so such a prefix climbs no higher than d:
+    levels past min(depth, order_z) are never looked up, and any
+    depth >= order_z gives the exact series.
+
+    A down-step keeps d, so cell (d, h) is cell (d, h+1) plus the up-steps
+    that arrive at height h.  Row d is one running cell walked from
+    h = min(d, depth) down to 0: its up-steps become the arrivals of row
+    d+1, and at h = 0 it is the z^d slice.
 
     A cell maps a packed exponent to its coefficient.  The key of
-    q^a * v1^b1 * v2^b2 * ... is a + Q*(b1 + b2*V + b3*V^2 + ...); the
-    z-degree is the row d.  An up-step to level l adds the fixed key of w_l
-    and moves a prefix from cell (d, l-1), the only up-step source of cell
-    (d+1, l), so the DP sweeps two rows at a time.  A path takes at most
+    q^a * v1^b1 * v2^b2 * ... is a + Q*(b1 + b2*V + b3*V^2 + ...); an
+    up-step to level l adds the fixed key of w_l.  A path takes at most
     order_z up-steps, so its q-degree stays below Q = order_z*max_q + 1 and
     each v-degree below V = order_z*max_v + 1 (max over the weights looked
     up): no digit carries, and every key unpacks to one monomial.
@@ -110,31 +95,17 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     q_base = order_z * max((w.q_deg for w in ups), default=0) + 1
     v_base = order_z * max((max(w.v_degs, default=0) for w in ups), default=0) + 1
     steps = [w.q_deg + q_base * sum(b * v_base**i for i, b in enumerate(w.v_degs)) for w in ups]
-    row: dict[int, dict[int, int]] = {0: {0: 1}}
-    slices: dict[int, dict[int, int]] = {}
+    out: dict[Monomial, int] = {}
+    arrivals: dict[int, dict[int, int]] = {0: {0: 1}}
     for d in range(order_z + 1):
-        # row[h] is cell (d, h); up-steps fill cell (d+1, h+1) of the next row.
         nxt: dict[int, dict[int, int]] = {}
-        # Down-steps keep d, so heights are read top-down within a row.
-        for h in range(top, -1, -1):
-            cell = row.get(h)
-            if not cell:
-                continue
+        cell: dict[int, int] = {}
+        for h in range(min(d, top), -1, -1):
+            for key, c in arrivals.get(h, {}).items():
+                cell[key] = cell.get(key, 0) + c
             if h < top and d < order_z:
                 step = steps[h]
                 nxt[h + 1] = {key + step: c for key, c in cell.items()}
-            if h == 0:
-                slices[d] = cell
-                continue
-            below = row.get(h - 1)
-            if below is None:
-                row[h - 1] = cell
-            else:
-                for key, c in cell.items():
-                    below[key] = below.get(key, 0) + c
-        row = nxt
-    out: dict[Monomial, int] = {}
-    for d, cell in slices.items():
         for key, c in cell.items():
             rest, q = divmod(key, q_base)
             v = []
@@ -142,4 +113,5 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
                 rest, b = divmod(rest, v_base)
                 v.append(b)
             out[Monomial(d, q, tuple(v))] = c
+        arrivals = nxt
     return TruncSeries(order_z, out)

@@ -46,10 +46,6 @@ class DyckPath(_Steps):
             raise PathParseError(f"unbalanced path: {height} more E than N steps", len(steps))
         return super().__new__(cls, steps)
 
-    @property
-    def semilength(self) -> int:
-        return len(self.steps) // 2
-
 
 _STEP_ALIASES = {"E": "E", "N": "N", "R": "E", "U": "N", "1": "E", "0": "N"}
 

@@ -25,23 +25,16 @@ class Monomial(NamedTuple):
 
     ``v_degs`` is stored as given, and monomials compare as tuples, so
     ``(1, 0)`` and ``(1,)`` differ.  Every monomial the package builds has
-    no trailing zero (those of ``eval_cf``, ``Monomial.level``, and ``times``
-    of such monomials); a caller who builds one must strip it the same way.
+    no trailing zero (those of ``eval_cf``, ``LevelWeights.weight`` and
+    ``times`` of such monomials); a caller who builds one strips it too.
     When ``v_degs`` is nonempty the z-degree equals ``sum(v_degs)``: each
-    level variable carries exactly one edge.  Tuple ordering gives the
-    canonical sort (z_deg, then q_deg, then v_degs lexicographically) for free.
+    level variable carries one edge.  Tuple ordering gives the canonical
+    sort (z_deg, then q_deg, then v_degs lexicographically) for free.
     """
 
     z_deg: int
     q_deg: int
     v_degs: tuple[int, ...] = ()
-
-    @classmethod
-    def level(cls, level: int) -> "Monomial":
-        """The single level variable v_level (one edge, one vertex at that level)."""
-        if level < 1:
-            raise ValueError("levels are indexed from 1")
-        return cls(1, 0, (0,) * (level - 1) + (1,))
 
     def times(self, other: "Monomial") -> "Monomial":
         va, vb = self.v_degs, other.v_degs

@@ -85,7 +85,7 @@ def z_slice_q(series: TruncSeries, n: int) -> dict[int, int]:
 def check_level_census(max_edges: int) -> CheckResult:
     """Multivariate series coefficients == tree counts per level profile."""
     result = CheckResult("level census vs multivariate series", {"max_edges": max_edges})
-    series = eval_cf(LevelWeights.multivariate(), max(max_edges, 1), max_edges)
+    series = eval_cf(LevelWeights("multivariate"), max(max_edges, 1), max_edges)
     for n in range(max_edges + 1):
         census = level_profile_census(n)
         got = {m.v_degs: c for m, c in series.z_slice(n).items()}
@@ -128,7 +128,7 @@ def check_area_formula(max_edges: int) -> CheckResult:
 def check_area_series(max_edges: int) -> CheckResult:
     """Path-census area polynomial, exponent-reversed, == area-preset series."""
     result = CheckResult("area polynomial vs series", {"max_edges": max_edges})
-    series = eval_cf(LevelWeights.area(), max(max_edges, 1), max_edges)
+    series = eval_cf(LevelWeights("area"), max(max_edges, 1), max_edges)
     for n in range(max_edges + 1):
         poly = area_polynomial(n)
         reversed_poly = {comb(n + 1, 2) - a: c for a, c in poly.items()}
@@ -225,7 +225,7 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     )
     censuses = [level_profile_census(n).items() for n in range(max_edges + 1)]
     for k in ks:
-        series = eval_cf(LevelWeights.increasing(k), max(max_edges, 1), max_edges)
+        series = eval_cf(LevelWeights("increasing", k), max(max_edges, 1), max_edges)
         for n in range(max_edges + 1):
             census: Counter[int] = Counter()
             for profile, count in censuses[n]:

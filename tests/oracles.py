@@ -234,8 +234,8 @@ def fixed_point_check(order_z):
     from catfrac.contfrac import LevelWeights, eval_cf
     from catfrac.series import Monomial, TruncSeries
 
-    t = eval_cf(LevelWeights.multivariate(), max(order_z, 1), order_z)
-    v1 = TruncSeries(order_z, {Monomial.level(1): 1})
+    t = eval_cf(LevelWeights("multivariate"), max(order_z, 1), order_z)
+    v1 = TruncSeries(order_z, {Monomial(1, 0, (1,)): 1})
     return v1.mul(shift_levels(t)).geom_inverse() == t
 
 

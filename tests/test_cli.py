@@ -251,6 +251,36 @@ class TestCountCommand:
         assert err == "error: cannot parse permutation word '1_0'\n"
 
 
+class TestIntegerOptions:
+    """Every integer option reads ASCII digits after an optional minus sign, nothing else."""
+
+    # (argv with X where the integer goes, the flag the error line names)
+    CASES = [
+        (["series", "--weights", "catalan", "--order", "X"], "--order"),
+        (["series", "--weights", "catalan", "--order", "3", "--depth", "X"], "--depth"),
+        (["enumerate", "--edges", "X"], "--edges"),
+        (["count", "--perm", "1 2 3", "--k", "X"], "--k"),
+        (["verify", "--check", "theorem5", "--max-edges", "X"], "--max-edges"),
+        (["verify", "--check", "theorem5", "--max-edges", "3", "--k", "X"], "--k"),
+        (["series", "--weights", "k=X", "--order", "3"], "--weights"),
+    ]
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "+3", " 3"], ids=["separator", "arabic", "plus", "space"])
+    @pytest.mark.parametrize(
+        "template, flag", CASES, ids=["order", "depth", "edges", "count-k", "max-edges", "verify-k", "weights-k"]
+    )
+    def test_non_ascii_integer_forms_exit_2(self, capsys, template, flag, text):
+        argv = [arg.replace("X", text) for arg in template]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        if flag == "--weights":
+            assert captured.err == f"error: argument --weights: bad k in {'k=' + text!r}\n"
+        else:
+            assert captured.err == f"error: argument {flag}: invalid int value: {text!r}\n"
+
+
 class TestVerifyCommand:
     def test_pass_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "theorem5", "--max-edges", "6", "--k", "3")

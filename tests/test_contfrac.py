@@ -32,24 +32,29 @@ def coeff(s, m):
 
 class TestWeights:
     def test_catalan_weight_is_z_at_every_level(self):
-        w = LevelWeights.catalan()
+        w = LevelWeights("catalan")
         assert [w.weight(level) for level in (1, 2, 7)] == [zq(1), zq(1), zq(1)]
 
     def test_increasing_k3_weights(self):
         # exponents C(level-1, 2): 0, 0, 1, 3, 6, ...
-        w = LevelWeights.increasing(3)
+        w = LevelWeights("increasing", 3)
         assert [w.weight(level).q_deg for level in range(1, 7)] == [0, 0, 1, 3, 6, 10]
 
     def test_increasing_k2_weights_are_level_minus_one(self):
-        w = LevelWeights.increasing(2)
+        w = LevelWeights("increasing", 2)
         assert [w.weight(level).q_deg for level in range(1, 6)] == [0, 1, 2, 3, 4]
 
     def test_area_weights(self):
-        w = LevelWeights.area()
+        w = LevelWeights("area")
         assert [w.weight(level) for level in (1, 2, 3)] == [zq(1, 1), zq(1, 2), zq(1, 3)]
 
     def test_multivariate_weights(self):
-        assert LevelWeights.multivariate().weight(2) == Monomial(1, 0, (0, 1))
+        w = LevelWeights("multivariate")
+        assert [w.weight(level) for level in (1, 2, 3)] == [
+            Monomial(1, 0, (1,)),
+            Monomial(1, 0, (0, 1)),
+            Monomial(1, 0, (0, 0, 1)),
+        ]
 
     def test_increasing_requires_k(self):
         with pytest.raises(ValueError):
@@ -62,19 +67,19 @@ class TestWeights:
 
 class TestEvalCF:
     def test_catalan_numbers(self):
-        s = eval_cf(LevelWeights.catalan(), 5, 5)
+        s = eval_cf(LevelWeights("catalan"), 5, 5)
         assert [coeff(s, zq(n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
 
     def test_increasing_k3_order3_slice(self):
-        s = eval_cf(LevelWeights.increasing(3), 3, 3)
+        s = eval_cf(LevelWeights("increasing", 3), 3, 3)
         assert s.z_slice(3) == {zq(3, 0): 4, zq(3, 1): 1}
 
     def test_area_depth2_order2(self):
-        s = eval_cf(LevelWeights.area(), 2, 2)
+        s = eval_cf(LevelWeights("area"), 2, 2)
         assert s == TruncSeries(2, {zq(0): 1, zq(1, 1): 1, zq(2, 2): 1, zq(2, 3): 1})
 
     def test_multivariate_order3_displayed_terms(self):
-        s = eval_cf(LevelWeights.multivariate(), 3, 3)
+        s = eval_cf(LevelWeights("multivariate"), 3, 3)
         expected = {
             level_monomial(): 1,
             level_monomial(1): 1,
@@ -88,32 +93,32 @@ class TestEvalCF:
         assert s == TruncSeries(3, expected)
 
     def test_level_census_coefficient(self):
-        s = eval_cf(LevelWeights.multivariate(), 3, 3)
+        s = eval_cf(LevelWeights("multivariate"), 3, 3)
         assert coeff(s, level_monomial(2, 1)) == 2
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            eval_cf(LevelWeights.catalan(), 0, 3)
+            eval_cf(LevelWeights("catalan"), 0, 3)
 
     def test_order_zero_is_constant_one(self):
-        assert eval_cf(LevelWeights.catalan(), 1, 0) == TruncSeries(0, {zq(0): 1})
+        assert eval_cf(LevelWeights("catalan"), 1, 0) == TruncSeries(0, {zq(0): 1})
 
     def test_shallow_depth_is_a_partial_evaluation(self):
         # only one level: 1/(1-z) counts one tree per edge count (the chains)
-        s = eval_cf(LevelWeights.catalan(), 1, 4)
+        s = eval_cf(LevelWeights("catalan"), 1, 4)
         assert [coeff(s, zq(n)) for n in range(5)] == [1, 1, 1, 1, 1]
 
     def test_depth_far_past_order_looks_up_only_the_reachable_levels(self):
         # the order caps the height at 3, so a huge depth builds three weights only
-        weights = LevelWeights.increasing(3)
+        weights = LevelWeights("increasing", 3)
         assert eval_cf(weights, 10**8, 3) == eval_cf(weights, 3, 3)
 
 
 _PRESETS = [
-    LevelWeights.catalan(),
-    LevelWeights.area(),
-    *(LevelWeights.increasing(k) for k in range(1, 7)),
-    LevelWeights.multivariate(),
+    LevelWeights("catalan"),
+    LevelWeights("area"),
+    *(LevelWeights("increasing", k) for k in range(1, 7)),
+    LevelWeights("multivariate"),
 ]
 
 
@@ -152,19 +157,19 @@ class TestPackedExponents:
     @pytest.mark.parametrize("n", range(9))
     def test_multivariate_monomials_have_no_trailing_zero(self, n):
         # equal monomials compare equal only because every one built here is stripped
-        for m, _ in eval_cf(LevelWeights.multivariate(), max(n, 1), n).terms():
+        for m, _ in eval_cf(LevelWeights("multivariate"), max(n, 1), n).terms():
             assert not m.v_degs or m.v_degs[-1] != 0
 
     @pytest.mark.parametrize("order", range(8))
     def test_q_digit_reaches_its_top(self, order):
         # area at depth 1 weighs z*q: the path (ud)^order has q-degree order = Q - 1
-        s = eval_cf(LevelWeights.area(), 1, order)
+        s = eval_cf(LevelWeights("area"), 1, order)
         assert s == TruncSeries(order, {zq(n, n): 1 for n in range(order + 1)})
 
     @pytest.mark.parametrize("order", range(8))
     def test_level_digits_reach_the_order(self, order):
         # the star has v1^order and the chain v1*v2*...*v_order: top digit and top place
-        s = eval_cf(LevelWeights.multivariate(), max(order, 1), order)
+        s = eval_cf(LevelWeights("multivariate"), max(order, 1), order)
         assert coeff(s, level_monomial(order)) == 1
         assert coeff(s, level_monomial(*(1,) * order)) == 1
 
@@ -173,7 +178,7 @@ class TestStability:
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
     def test_depth_saturation_any_depth_past_order(self, order, extra):
-        w = LevelWeights.area()
+        w = LevelWeights("area")
         base = max(order, 1)
         assert eval_cf(w, base, order) == eval_cf(w, base + extra, order)
 
@@ -181,7 +186,7 @@ class TestStability:
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
     def test_reference_depth_saturation_any_depth_past_order(self, order, extra):
         # eval_cf never climbs past the order, so only the reference can show saturation
-        w = LevelWeights.area()
+        w = LevelWeights("area")
         base = max(order, 1)
         assert reference_eval_cf(w, base, order) == reference_eval_cf(w, base + extra, order)
 
@@ -200,27 +205,27 @@ class TestFixedPoint:
 class TestSpecialization:
     @pytest.mark.parametrize("order", [0, 1, 4, 7])
     def test_all_levels_to_z_gives_catalan(self, order):
-        multi = eval_cf(LevelWeights.multivariate(), max(order, 1), order)
-        cat = eval_cf(LevelWeights.catalan(), max(order, 1), order)
-        assert specialize(multi, LevelWeights.catalan()) == cat
+        multi = eval_cf(LevelWeights("multivariate"), max(order, 1), order)
+        cat = eval_cf(LevelWeights("catalan"), max(order, 1), order)
+        assert specialize(multi, LevelWeights("catalan")) == cat
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_levels_to_binomial_weights_gives_increasing_preset(self, k):
         order = 7
-        multi = eval_cf(LevelWeights.multivariate(), order, order)
-        direct = eval_cf(LevelWeights.increasing(k), order, order)
-        assert specialize(multi, LevelWeights.increasing(k)) == direct
+        multi = eval_cf(LevelWeights("multivariate"), order, order)
+        direct = eval_cf(LevelWeights("increasing", k), order, order)
+        assert specialize(multi, LevelWeights("increasing", k)) == direct
 
     def test_levels_to_area_weights_gives_area_preset(self):
         order = 7
-        multi = eval_cf(LevelWeights.multivariate(), order, order)
-        assert specialize(multi, LevelWeights.area()) == eval_cf(LevelWeights.area(), order, order)
+        multi = eval_cf(LevelWeights("multivariate"), order, order)
+        assert specialize(multi, LevelWeights("area")) == eval_cf(LevelWeights("area"), order, order)
 
 
 class TestAgainstTreeCensus:
     def test_multivariate_coefficients_count_trees_by_profile(self):
         order = 6
-        s = eval_cf(LevelWeights.multivariate(), order, order)
+        s = eval_cf(LevelWeights("multivariate"), order, order)
         for n in range(order + 1):
             census = Counter(level_profile(t) for t in generate_trees(n))
             got = {m.v_degs: c for m, c in s.z_slice(n).items()}
@@ -228,8 +233,42 @@ class TestAgainstTreeCensus:
 
     def test_catalan_coefficients_match_recurrence(self):
         table = catalan_table(8)
-        s = eval_cf(LevelWeights.catalan(), 8, 8)
+        s = eval_cf(LevelWeights("catalan"), 8, 8)
         assert [coeff(s, zq(n)) for n in range(9)] == table
+
+
+def _census_monomial(weights, profile):
+    """The monomial one tree of this level profile contributes under the preset."""
+    n = sum(profile)
+    if weights.kind == "multivariate":
+        return Monomial(n, 0, profile)
+    if weights.kind == "area":
+        return zq(n, sum(level * c for level, c in enumerate(profile, start=1)))
+    if weights.kind == "increasing":
+        return zq(n, binom_profile_sum(profile, weights.k))
+    return zq(n)
+
+
+class TestHeightCap:
+    """A fraction cut at depth h counts the trees of height <= h (Flajolet 1980)."""
+
+    @pytest.fixture(scope="class")
+    def censuses(self):
+        return {n: Counter(level_profile(t) for t in generate_trees(n)) for n in range(10)}
+
+    @pytest.mark.parametrize(
+        "weights",
+        [LevelWeights("catalan"), LevelWeights("area"), LevelWeights("increasing", 3), LevelWeights("multivariate")],
+        ids=str,
+    )
+    def test_depth_h_slice_is_the_census_of_height_at_most_h(self, weights, censuses):
+        for n, census in censuses.items():
+            for h in range(1, n + 1):
+                expected = Counter()
+                for profile, count in census.items():
+                    if len(profile) <= h:
+                        expected[_census_monomial(weights, profile)] += count
+                assert eval_cf(weights, h, n).z_slice(n) == dict(expected), (n, h)
 
 
 class TestHugeK:
@@ -238,7 +277,7 @@ class TestHugeK:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**12), st.integers(0, 8), small_trees())
     def test_increasing_weights_at_any_k(self, k, order, t):
-        s = eval_cf(LevelWeights.increasing(k), max(order, 1), order)
+        s = eval_cf(LevelWeights("increasing", k), max(order, 1), order)
         catalan = catalan_table(order)
         for n in range(order + 1):
             terms = s.z_slice(n)

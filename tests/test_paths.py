@@ -24,10 +24,10 @@ STAR3 = decode("()()()")
 
 class TestDyckPath:
     def test_valid_construction(self):
-        assert DyckPath("EENN").semilength == 2
+        assert DyckPath("EENN").steps == "EENN"
 
     def test_empty_path(self):
-        assert DyckPath("").semilength == 0
+        assert DyckPath("").steps == ""
 
     def test_rising_above_diagonal_reports_prefix(self):
         with pytest.raises(PathParseError, match="step 2") as info:

@@ -34,12 +34,9 @@ def cut(s, order):
 
 
 class TestMonomial:
-    def test_level_variable(self):
-        assert Monomial.level(3) == Monomial(1, 0, (0, 0, 1))
-
     def test_times_merges_exponents(self):
         assert zq(1, 1).times(zq(1, 2)) == zq(2, 3)
-        assert Monomial.level(1).times(Monomial.level(2)) == Monomial(2, 0, (1, 1))
+        assert Monomial(1, 0, (1,)).times(Monomial(1, 0, (0, 1))) == Monomial(2, 0, (1, 1))
 
     def test_canonical_sort_order(self):
         ms = [zq(1, 1), zq(0, 2), zq(1, 0), Monomial(1, 0, (1,))]
@@ -155,9 +152,9 @@ class TestTruncation:
 
 class TestLevels:
     def test_shift_levels(self):
-        s = TruncSeries(3, {Monomial.level(1): 1, Monomial(0, 0, ()): 1})
+        s = TruncSeries(3, {Monomial(1, 0, (1,)): 1, Monomial(0, 0, ()): 1})
         shifted = shift_levels(s, 1)
-        assert shifted == TruncSeries(3, {Monomial.level(2): 1, Monomial(0, 0, ()): 1})
+        assert shifted == TruncSeries(3, {Monomial(1, 0, (0, 1)): 1, Monomial(0, 0, ()): 1})
 
     def test_substitute_levels_to_z(self):
         s = TruncSeries(3, {Monomial(2, 0, (1, 1)): 3, Monomial(2, 0, (2,)): 1})
@@ -170,9 +167,9 @@ class TestLevels:
         assert out == series(3, {(2, 3): 1})
 
     def test_substitute_rejects_v_weights(self):
-        s = TruncSeries(3, {Monomial.level(1): 1})
+        s = TruncSeries(3, {Monomial(1, 0, (1,)): 1})
         with pytest.raises(ValueError):
-            substitute_levels(s, lambda level: Monomial.level(level))
+            substitute_levels(s, lambda level: Monomial(1, 0, (0,) * (level - 1) + (1,)))
 
 
 class TestRendering:

@@ -57,7 +57,7 @@ class TestOracles:
     def test_z_slice_q_rejects_multivariate(self):
         from catfrac.contfrac import LevelWeights, eval_cf
 
-        series = eval_cf(LevelWeights.multivariate(), 3, 3)
+        series = eval_cf(LevelWeights("multivariate"), 3, 3)
         with pytest.raises(ValueError, match="level variables"):
             verify.z_slice_q(series, 2)
 
