@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
@@ -29,6 +30,8 @@ from .trees import OrderedTree, TreeParseError, decode, encode, generate_trees, 
 from . import verify as verify_mod
 
 WEIGHT_TOKENS = "catalan|eq1|eq2|k=<int>|multivariate"
+# The most trees (sum of Catalan(n) for n <= --max-edges) a verify run may visit; it admits --max-edges <= 16.
+MAX_TREES = 10**8
 
 
 def _int(text: str) -> int:
@@ -113,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-edges", type=_int, default=None)
     p_verify.add_argument("--k", type=_int, default=None)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.epilog = (
-        f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"
-    )
+    p_verify.epilog = f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"
 
     return parser
 
@@ -240,6 +241,11 @@ def cmd_verify(args) -> int:
     # Past this bound every side of every check is 0, so the items check nothing.
     if args.k is not None and args.k > max(max_edges, 1):
         raise ValueError(f"--k must be at most {max(max_edges, 1)} for --max-edges {max_edges}")
+    trees = 0
+    for n in range(max_edges + 1):  # stops at the ceiling, so a huge bound costs nothing
+        trees += comb(2 * n, n) // (n + 1)
+        if trees > MAX_TREES:
+            raise ValueError(f"--max-edges {max_edges} visits at least {trees} trees (ceiling {MAX_TREES})")
     result = run(max_edges, args.k)
     if args.json:
         doc = {

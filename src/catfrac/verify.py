@@ -1,8 +1,10 @@
 """Exhaustive cross-checks: continued-fraction series against brute-force censuses.
 
 Each check pairs two independent routes to the same numbers and compares them
-exactly, reporting counterexamples in the canonical encodings.  Every check
-stops once five failures have been collected.
+exactly, reporting counterexamples in the canonical encodings.  The driver ``_run``
+calls a check's unit per key (n, or one k); a unit yields ``(items counted, None
+or a counterexample)`` and returns its detail line.  Counts join ``checked`` before
+failures are recorded; the fifth failure stops the check mid-unit, without its line.
 """
 
 from __future__ import annotations
@@ -82,36 +84,49 @@ def z_slice_q(series: TruncSeries, n: int) -> dict[int, int]:
 # -- checks -------------------------------------------------------------------
 
 
-def check_level_census(max_edges: int) -> CheckResult:
-    """Multivariate series coefficients == tree counts per level profile."""
-    result = CheckResult("level census vs multivariate series", {"max_edges": max_edges})
-    series = eval_cf(LevelWeights("multivariate"), max(max_edges, 1), max_edges)
-    for n in range(max_edges + 1):
-        census = level_profile_census(n)
-        got = {m.v_degs: c for m, c in series.z_slice(n).items()}
-        result.checked += sum(census.values())
-        if got != census and not result.fail(f"n={n}: series slice {got} != census {census}"):
-            return result
-        result.detail_lines.append(f"n={n} profiles={len(census)} trees={sum(census.values())}")
+def _run(name: str, params: dict, unit: Callable, keys=None) -> CheckResult:
+    """Run ``unit(key)`` for each key, by default n = 0 .. max_edges (see the module docstring)."""
+    result = CheckResult(name, params)
+    for key in range(params["max_edges"] + 1) if keys is None else keys:
+        items = unit(key)
+        try:
+            while True:
+                count, failure = next(items)
+                result.checked += count
+                if failure is not None and not result.fail(failure):
+                    return result
+        except StopIteration as done:
+            result.detail_lines.append(done.value)
     return result
 
 
-def _scan_trees(result: CheckResult, max_edges: int, compare, detail: str) -> CheckResult:
-    """Run ``compare`` on every tree on at most ``max_edges`` edges.
+def _per_tree(compare, detail: str):
+    """The unit over the trees on n edges: one item per value ``compare(t)`` yields."""
 
-    ``compare(t)`` yields, for each item it checks, None or a counterexample;
-    each counts once in ``result.checked``.  A counterexample is recorded
-    after an ``n=`` prefix, and the scan stops once enough are collected.
-    After the trees on n edges, the line ``n=<n> <detail>`` is added.
-    """
-    for n in range(max_edges + 1):
+    def unit(n):
         for t in generate_trees(n):
             for failure in compare(t):
-                result.checked += 1
-                if failure is not None and not result.fail(f"n={n} {failure}"):
-                    return result
-        result.detail_lines.append(f"n={n} {detail}")
-    return result
+                yield 1, None if failure is None else f"n={n} {failure}"
+        return f"n={n} {detail}"
+
+    return unit
+
+
+def _slice_item(got: dict, census: dict, key: str, label: str = "census"):
+    """One series-slice-vs-census item, counted by the census total."""
+    return sum(census.values()), None if got == census else f"{key}: series slice {got} != {label} {census}"
+
+
+def check_level_census(max_edges: int) -> CheckResult:
+    """Multivariate series coefficients == tree counts per level profile."""
+    series = eval_cf(LevelWeights("multivariate"), max(max_edges, 1), max_edges)
+
+    def unit(n):
+        census = level_profile_census(n)
+        yield _slice_item({m.v_degs: c for m, c in series.z_slice(n).items()}, census, f"n={n}")
+        return f"n={n} profiles={len(census)} trees={sum(census.values())}"
+
+    return _run("level census vs multivariate series", {"max_edges": max_edges}, unit)
 
 
 def check_area_formula(max_edges: int) -> CheckResult:
@@ -121,25 +136,20 @@ def check_area_formula(max_edges: int) -> CheckResult:
         by_path, by_levels = area(tree_to_path(t)), area_via_levels(t)
         yield None if by_path == by_levels else f"tree={encode(t)!r} area={by_path} formula={by_levels}"
 
-    result = CheckResult("area vs level-sum formula", {"max_edges": max_edges})
-    return _scan_trees(result, max_edges, compare, "trees checked")
+    return _run("area vs level-sum formula", {"max_edges": max_edges}, _per_tree(compare, "trees checked"))
 
 
 def check_area_series(max_edges: int) -> CheckResult:
     """Path-census area polynomial, exponent-reversed, == area-preset series."""
-    result = CheckResult("area polynomial vs series", {"max_edges": max_edges})
     series = eval_cf(LevelWeights("area"), max(max_edges, 1), max_edges)
-    for n in range(max_edges + 1):
+
+    def unit(n):
         poly = area_polynomial(n)
         reversed_poly = {comb(n + 1, 2) - a: c for a, c in poly.items()}
-        got = z_slice_q(series, n)
-        result.checked += sum(poly.values())
-        if got != reversed_poly and not result.fail(
-            f"n={n}: series slice {got} != reversed census {reversed_poly}"
-        ):
-            return result
-        result.detail_lines.append(f"n={n} paths={sum(poly.values())}")
-    return result
+        yield _slice_item(z_slice_q(series, n), reversed_poly, f"n={n}", "reversed census")
+        return f"n={n} paths={sum(poly.values())}"
+
+    return _run("area polynomial vs series", {"max_edges": max_edges}, unit)
 
 
 def check_word_concatenation(max_edges: int) -> CheckResult:
@@ -163,8 +173,7 @@ def check_word_concatenation(max_edges: int) -> CheckResult:
         split = tuple(blocks)
         yield None if split == direct else f"tree={encode(t)!r} split={split} direct={direct}"
 
-    result = CheckResult("word concatenation recursion", {"max_edges": max_edges})
-    return _scan_trees(result, max_edges, compare, "trees checked")
+    return _run("word concatenation recursion", {"max_edges": max_edges}, _per_tree(compare, "trees checked"))
 
 
 def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
@@ -184,10 +193,8 @@ def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
                 f"chains={sorted(map(sorted, chains))}"
             )
 
-    result = CheckResult(
-        "increasing subsets vs ancestor chains", {"max_edges": max_edges, "k_max": k_max}
-    )
-    return _scan_trees(result, max_edges, compare, f"trees checked for k <= {k_max}")
+    unit = _per_tree(compare, f"trees checked for k <= {k_max}")
+    return _run("increasing subsets vs ancestor chains", {"max_edges": max_edges, "k_max": k_max}, unit)
 
 
 def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
@@ -207,10 +214,8 @@ def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
                 f"k={k} tree={encode(t)!r} word={by_word} levels={by_levels}"
             )
 
-    result = CheckResult(
-        "pattern counts vs level formula", {"max_edges": max_edges, "k_max": k_max}
-    )
-    return _scan_trees(result, max_edges, compare, f"trees checked for k <= {k_max}")
+    unit = _per_tree(compare, f"trees checked for k <= {k_max}")
+    return _run("pattern counts vs level formula", {"max_edges": max_edges, "k_max": k_max}, unit)
 
 
 def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
@@ -220,24 +225,18 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     trees on n edges are counted by profile once, and each k evaluates it
     once per profile, weighted by the profile's tree count.
     """
-    result = CheckResult(
-        "pattern-count census vs series", {"max_edges": max_edges, "ks": list(ks)}
-    )
     censuses = [level_profile_census(n).items() for n in range(max_edges + 1)]
-    for k in ks:
+
+    def unit(k):
         series = eval_cf(LevelWeights("increasing", k), max(max_edges, 1), max_edges)
-        for n in range(max_edges + 1):
+        for n, profiles in enumerate(censuses):
             census: Counter[int] = Counter()
-            for profile, count in censuses[n]:
+            for profile, count in profiles:
                 census[binom_profile_sum(profile, k)] += count
-            got = z_slice_q(series, n)
-            result.checked += sum(census.values())
-            if got != dict(census) and not result.fail(
-                f"k={k} n={n}: series slice {got} != census {dict(census)}"
-            ):
-                return result
-        result.detail_lines.append(f"k={k} checked through n={max_edges}")
-    return result
+            yield _slice_item(z_slice_q(series, n), dict(census), f"k={k} n={n}")
+        return f"k={k} checked through n={max_edges}"
+
+    return _run("pattern-count census vs series", {"max_edges": max_edges, "ks": list(ks)}, unit, ks)
 
 
 def check_bijections(max_edges: int) -> CheckResult:
@@ -248,39 +247,34 @@ def check_bijections(max_edges: int) -> CheckResult:
     ``perm_to_tree``: the round trips make it one-to-one, and an image equal
     to the avoider set makes ``perm_to_tree`` its inverse on every avoider,
     so neither fact is tested again.  A decoder error on its codec's output
-    is a broken round trip, with the error text appended.  The avoider-set
-    comparison is capped at n = PERM_ORACLE_MAX.
+    is a broken round trip, with the error text appended.  A tree counts once,
+    with its path round trip.  The avoider-set comparison is capped at n = PERM_ORACLE_MAX.
     """
-    result = CheckResult("bijection round trips", {"max_edges": max_edges})
-    for n in range(max_edges + 1):
-        count = 0
+
+    def unit(n):
+        trees = 0
         images: set = set()
-        for t in generate_trees(n):
-            count += 1
-            result.checked += 1
+        for trees, t in enumerate(generate_trees(n), 1):
             word = tree_to_perm(t)
-            for kind, image, inverse in (("path", tree_to_path(t), path_to_tree), ("perm", word, perm_to_tree)):
+            trips = ((1, "path", tree_to_path(t), path_to_tree), (0, "perm", word, perm_to_tree))
+            for count, kind, image, inverse in trips:
                 try:
-                    if inverse(image) == t:
-                        continue
-                    error = ""
+                    err = None if inverse(image) == t else ""
                 except ValueError as exc:
-                    error = f": {exc}"
-                if not result.fail(f"n={n} tree={encode(t)!r} {kind} round trip broke{error}"):
-                    return result
+                    err = f": {exc}"
+                yield count, None if err is None else f"n={n} tree={encode(t)!r} {kind} round trip broke{err}"
             if n <= PERM_ORACLE_MAX:
                 images.add(word)
-        if n <= PERM_ORACLE_MAX:
-            avoiders = set(enumerate_132_avoiders(n))
-            if images != avoiders and not result.fail(
-                f"n={n}: image != avoider set; extra={sorted(map(format_perm, images - avoiders))[:3]} "
-                f"missing={sorted(map(format_perm, avoiders - images))[:3]}"
-            ):
-                return result
-            result.detail_lines.append(f"n={n} trees={count} avoiders={len(avoiders)}")
-        else:
-            result.detail_lines.append(f"n={n} trees={count} (avoider scan skipped)")
-    return result
+        if n > PERM_ORACLE_MAX:
+            return f"n={n} trees={trees} (avoider scan skipped)"
+        avoiders = set(enumerate_132_avoiders(n))
+        yield 0, None if images == avoiders else (
+            f"n={n}: image != avoider set; extra={sorted(map(format_perm, images - avoiders))[:3]} "
+            f"missing={sorted(map(format_perm, avoiders - images))[:3]}"
+        )
+        return f"n={n} trees={trees} avoiders={len(avoiders)}"
+
+    return _run("bijection round trips", {"max_edges": max_edges}, unit)
 
 
 # Stable check ids: (routine of (max_edges, k or None), default max_edges, whether k applies).

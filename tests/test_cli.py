@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from catfrac import cli
 from catfrac.cli import main
-from catfrac.verify import CHECKS
+from catfrac.verify import CHECKS, CheckResult
 
 from conftest import CHILD_ENV, random_dyck_words
 from oracles import catalan_table, first_return_words
@@ -337,6 +338,30 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--check", "bogus"])
         assert info.value.code == 2
+
+
+class TestCostGuard:
+    """``verify`` refuses, before any work, a bound whose trees pass ``cli.MAX_TREES``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(CHECKS)), st.integers(17, 10**6), st.booleans())
+    def test_a_bound_past_16_exits_2_at_once(self, check, max_edges, as_json):
+        argv = ["verify", "--check", check, "--max-edges", str(max_edges)] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: --max-edges {max_edges} visits at least 178405157 trees (ceiling 100000000)\n"
+
+    def test_the_ceiling_falls_between_16_and_17(self, capsys, monkeypatch):
+        # sum of Catalan(n) for n <= 16 is 48 760 367, for n <= 17 it is 178 405 157
+        bounds = []
+        monkeypatch.setitem(CHECKS, "lemma2", (lambda n, k: bounds.append(n) or CheckResult("stub", {}), 10, False))
+        assert run_cli(capsys, "verify", "--check", "lemma2", "--max-edges", "16")[0] == 0
+        assert run_cli(capsys, "verify", "--check", "lemma2", "--max-edges", "17")[0] == 2
+        assert bounds == [16]
 
 
 class TestDeterminism:

@@ -280,6 +280,59 @@ class TestEarlyStop:
         assert len(result.detail_lines) == 4
 
 
+def _doubled(name):
+    def mutate(monkeypatch):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda n: {key: 2 * c for key, c in real(n).items()})
+
+    return mutate
+
+
+def _reversed_children(monkeypatch):
+    real = OrderedTree.children
+    monkeypatch.setattr(OrderedTree, "children", property(lambda t: real.fget(t)[::-1]))
+
+
+def _reversed_words(monkeypatch):
+    real = verify.tree_to_perm
+    monkeypatch.setattr(verify, "tree_to_perm", lambda t: real(t)[::-1])
+
+
+# check id -> (its TestEarlyStop mutation, max_edges, k, items checked through the fifth failure)
+STOP_CASES = {
+    "theorem1": (_doubled("level_profile_census"), 7, None, 2 * (1 + 1 + 2 + 5 + 14)),
+    "lemma2": (lambda mp: mp.setattr(verify, "area_via_levels", lambda t: -1), 4, None, 5),
+    "theorem3": (_doubled("area_polynomial"), 8, None, 2 * (1 + 1 + 2 + 5 + 14)),
+    "lemma3": (_reversed_children, 4, None, 14),
+    "lemma4": (_reversed_words, 4, 3, 17),
+    "theorem5": (lambda mp: mp.setattr(verify, "binom_profile_sum", lambda profile, k: -1), 3, 2, 5),
+    "corollary6": (_doubled("level_profile_census"), 8, None, 2 * (1 + 1 + 2 + 5 + 14)),
+    "bijections": (lambda mp: mp.setattr(verify, "enumerate_132_avoiders", lambda n: []), 8, None, 1 + 1 + 2 + 5 + 14),
+}
+
+
+class TestDriverStop:
+    @pytest.mark.parametrize("check", sorted(STOP_CASES))
+    def test_the_fifth_failure_stops_the_unit_it_is_in(self, monkeypatch, check):
+        mutate, max_edges, k, checked = STOP_CASES[check]
+        mutate(monkeypatch)
+        seen = []
+        real_fail = CheckResult.fail
+
+        def spy(result, message):
+            seen.append((result.checked, list(result.detail_lines)))
+            return real_fail(result, message)
+
+        monkeypatch.setattr(CheckResult, "fail", spy)
+        result = verify.CHECKS[check][0](max_edges, k)
+        assert len(seen) == len(result.failures) == 5
+        # the fifth failing item is counted, and nothing after it runs
+        assert result.checked == seen[-1][0] == checked
+        assert result.detail_lines == seen[-1][1]
+        stopped_in = result.failures[-1].split()[0].rstrip(":")
+        assert stopped_in not in [line.split()[0] for line in result.detail_lines]
+
+
 REPO = Path(__file__).resolve().parent.parent
 
 
