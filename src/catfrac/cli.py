@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: series, enumerate, map, count, verify.  All take --json.
+The parser owns each option: its type checks every integer's range, and
+each subparser binds its ``cmd_*`` function as ``run``; a command body
+checks only what relates two inputs and the cost ceilings.
 Exit codes: 0 success, 1 verification failure, 2 usage or internal error;
 every error is one ``error: ...`` line on stderr.  A reader that closes
 stdout early (``| head``) ends the run quietly with exit 0.  Output is
@@ -14,7 +17,6 @@ import json
 import os
 import sys
 from math import comb
-from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
 from .paths import area, parse_path, path_to_tree, tree_to_path
@@ -29,38 +31,45 @@ from .perms import (
 from .trees import OrderedTree, TreeParseError, decode, encode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
-WEIGHT_TOKENS = "catalan|eq1|eq2|k=<int>|multivariate"
+_PRESETS = {
+    "catalan": LevelWeights("catalan"),
+    "eq1": LevelWeights("increasing", 3),
+    "eq2": LevelWeights("area"),
+    "multivariate": LevelWeights("multivariate"),
+}
+WEIGHT_TOKENS = "|".join(sorted([*_PRESETS, "k=<int>"]))
 # The most trees (sum of Catalan(n) for n <= --max-edges) a verify run may visit; it admits --max-edges <= 16.
 MAX_TREES = 10**8
+# The most comparisons, (min(k, n) - 1) * n(n - 1)/2, a count run may make; a 10^4-element word admits --k <= 21.
+MAX_DP_STEPS = 10**9
 
 
-def _int(text: str) -> int:
-    """``type=int`` restricted to ASCII digits after an optional minus sign."""
+def _int(text: str, low: int = 0) -> int:
+    """``type=int`` restricted to ASCII digits after an optional minus sign, and to values >= low."""
     if text.isascii() and text.removeprefix("-").isdigit():
         try:
-            return int(text)
+            value = int(text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             pass
+        else:
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+            return value
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+def _positive(text: str) -> int:
+    return _int(text, 1)
+
+
 def _parse_weights(token: str) -> LevelWeights:
-    if token == "catalan":
-        return LevelWeights("catalan")
-    if token == "eq1":
-        return LevelWeights("increasing", 3)
-    if token == "eq2":
-        return LevelWeights("area")
-    if token == "multivariate":
-        return LevelWeights("multivariate")
+    if token in _PRESETS:
+        return _PRESETS[token]
     if token.startswith("k="):
         try:
-            k = _int(token[2:])
+            return LevelWeights("increasing", _positive(token[2:]))
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"bad k in {token!r}") from None
-        if k < 1:
-            raise argparse.ArgumentTypeError("k must be at least 1")
-        return LevelWeights("increasing", k)
     raise argparse.ArgumentTypeError(f"unknown weights {token!r}; expected {WEIGHT_TOKENS}")
 
 
@@ -81,20 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continued-fraction generating functions for ordered trees, "
         "lattice paths, and (132)-avoiding permutations, with exact brute-force checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+    sub = parser.add_subparsers(required=True, metavar="subcommand")
 
     p_series = sub.add_parser("series", help="evaluate a level-weighted continued fraction")
     p_series.add_argument("--weights", type=_parse_weights, required=True, metavar=WEIGHT_TOKENS)
     p_series.add_argument("--order", type=_int, required=True, help="max z-degree retained")
     p_series.add_argument(
-        "--depth", type=_int, default=None, help="levels to evaluate (default: order; deeper changes nothing)"
+        "--depth", type=_positive, default=None, help="levels to evaluate (default: order; deeper changes nothing)"
     )
     p_series.add_argument("--json", action="store_true")
+    p_series.set_defaults(run=cmd_series)
 
     p_enum = sub.add_parser("enumerate", help="list ordered trees by edge count")
     p_enum.add_argument("--edges", type=_int, required=True)
     p_enum.add_argument("--stats", action="store_true", help="add level profile, level sum, area, word")
     p_enum.add_argument("--json", action="store_true", help="one JSON object per line")
+    p_enum.set_defaults(run=cmd_enumerate)
 
     p_map = sub.add_parser("map", help="convert between tree, path, and permutation encodings")
     p_map.add_argument("--from", dest="source", choices=("tree", "path", "perm"), required=True)
@@ -105,28 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
         "perm: separated by commas or whitespace, or contiguous digits for n <= 9",
     )
     p_map.add_argument("--json", action="store_true")
+    p_map.set_defaults(run=cmd_map)
 
     p_count = sub.add_parser("count", help="increasing-pattern count and (132) status of a word")
     p_count.add_argument("--perm", required=True)
-    p_count.add_argument("--k", type=_int, required=True)
+    p_count.add_argument("--k", type=_positive, required=True)
     p_count.add_argument("--json", action="store_true")
+    p_count.set_defaults(run=cmd_count)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive cross-check")
     p_verify.add_argument("--check", choices=sorted(verify_mod.CHECKS), required=True)
     p_verify.add_argument("--max-edges", type=_int, default=None)
-    p_verify.add_argument("--k", type=_int, default=None)
+    p_verify.add_argument("--k", type=_positive, default=None)
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.epilog = f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"
 
     return parser
 
 
 def cmd_series(args) -> int:
-    if args.order < 0:
-        raise ValueError("--order must be nonnegative")
     depth = args.depth if args.depth is not None else max(args.order, 1)
-    if depth < 1:
-        raise ValueError("--depth must be at least 1")
     series = eval_cf(args.weights, depth, args.order)
     if args.json:
         doc = {
@@ -153,8 +163,6 @@ def _tree_stats(t: OrderedTree) -> dict:
 
 
 def cmd_enumerate(args) -> int:
-    if args.edges < 0:
-        raise ValueError("--edges must be nonnegative")
     for t in generate_trees(args.edges):
         if args.json:
             doc = _tree_stats(t) if args.stats else {"tree": encode(t)}
@@ -203,14 +211,16 @@ def cmd_map(args) -> int:
 
 def cmd_count(args) -> int:
     word = parse_perm(args.perm)
-    if args.k < 1:
-        raise ValueError("--k must be at least 1")
+    n = len(word)
+    steps = (min(args.k, n) - 1) * (n * (n - 1) // 2)
+    if steps > MAX_DP_STEPS:
+        raise ValueError(f"--k {args.k} on a word of length {n} takes {steps} DP steps (ceiling {MAX_DP_STEPS})")
     n_patterns = count_increasing(word, args.k)
     witness = has_132(word)
     if args.json:
         doc = {
             "perm": list(word),
-            "n": len(word),
+            "n": n,
             "k": args.k,
             "increasing_patterns": n_patterns,
             "avoids_132": witness is None,
@@ -219,7 +229,7 @@ def cmd_count(args) -> int:
         print(json.dumps(doc))
     else:
         print(f"perm = {format_perm(word)}")
-        print(f"n = {len(word)}")
+        print(f"n = {n}")
         print(f"increasing_patterns(k={args.k}) = {n_patterns}")
         if witness is None:
             print("avoids_132 = yes")
@@ -233,11 +243,7 @@ def cmd_verify(args) -> int:
     run, default_max_edges, takes_k = verify_mod.CHECKS[args.check]
     if args.k is not None and not takes_k:
         raise ValueError(f"check {args.check!r} does not take --k")
-    if args.k is not None and args.k < 1:
-        raise ValueError("--k must be at least 1")
     max_edges = args.max_edges if args.max_edges is not None else default_max_edges
-    if max_edges < 0:
-        raise ValueError("--max-edges must be nonnegative")
     # Past this bound every side of every check is 0, so the items check nothing.
     if args.k is not None and args.k > max(max_edges, 1):
         raise ValueError(f"--k must be at most {max(max_edges, 1)} for --max-edges {max_edges}")
@@ -269,20 +275,11 @@ def cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
-_COMMANDS: dict[str, Callable] = {
-    "series": cmd_series,
-    "enumerate": cmd_enumerate,
-    "map": cmd_map,
-    "count": cmd_count,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -95,9 +96,10 @@ class TestSeriesCommand:
         assert info.value.code == 2
 
     def test_negative_order_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "series", "--weights", "catalan", "--order", "-1")
-        assert code == 2
-        assert "error:" in err
+        with pytest.raises(SystemExit) as info:
+            main(["series", "--weights", "catalan", "--order", "-1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "error: argument --order: must be at least 0: '-1'\n"
 
 
 class TestEnumerateCommand:
@@ -281,6 +283,46 @@ class TestIntegerOptions:
         else:
             assert captured.err == f"error: argument {flag}: invalid int value: {text!r}\n"
 
+    # each option just below its range, and the one line it exits with
+    BELOW_RANGE = [
+        (["series", "--weights", "catalan", "--order", "-1"], "argument --order: must be at least 0: '-1'"),
+        (["series", "--weights", "eq1", "--order", "3", "--depth", "0"], "argument --depth: must be at least 1: '0'"),
+        (["enumerate", "--edges", "-1"], "argument --edges: must be at least 0: '-1'"),
+        (["count", "--perm", "1 2 3", "--k", "0"], "argument --k: must be at least 1: '0'"),
+        (["verify", "--check", "theorem5", "--max-edges", "-1"], "argument --max-edges: must be at least 0: '-1'"),
+        (["verify", "--check", "theorem5", "--max-edges", "3", "--k", "0"], "argument --k: must be at least 1: '0'"),
+        (["series", "--weights", "k=0", "--order", "3"], "argument --weights: bad k in 'k=0'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, line", BELOW_RANGE, ids=["order", "depth", "edges", "count-k", "max-edges", "verify-k", "weights-k"]
+    )
+    def test_below_range_exits_2_with_one_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+    def test_every_integer_option_is_range_checked_by_the_parser(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        typed = {
+            (name, action.dest): action.type
+            for name, subparser in sub.choices.items()
+            for action in subparser._actions
+            if action.type is not None
+        }
+        assert int not in typed.values()
+        assert typed == {
+            ("series", "weights"): cli._parse_weights,
+            ("series", "order"): cli._int,
+            ("series", "depth"): cli._positive,
+            ("enumerate", "edges"): cli._int,
+            ("count", "k"): cli._positive,
+            ("verify", "max_edges"): cli._int,
+            ("verify", "k"): cli._positive,
+        }
+
 
 class TestVerifyCommand:
     def test_pass_exits_0(self, capsys):
@@ -364,6 +406,32 @@ class TestCostGuard:
         assert bounds == [16]
 
 
+class TestCountGuard:
+    """``count`` refuses, before any work, a --k whose DP steps pass ``cli.MAX_DP_STEPS``."""
+
+    def test_a_long_word_with_a_large_k_exits_2_at_once(self):
+        argv = ["count", "--perm", " ".join(map(str, range(1, 2001))), "--k", "2000"]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (
+            "error: --k 2000 on a word of length 2000 takes 3996001000 DP steps (ceiling 1000000000)\n"
+        )
+
+    def test_the_ceiling_admits_k_21_on_ten_thousand_elements(self, monkeypatch):
+        lengths = []
+        monkeypatch.setattr(cli, "count_increasing", lambda word, k: lengths.append(len(word)) or 0)
+        monkeypatch.setattr(cli, "has_132", lambda word: None)
+        word = " ".join(map(str, range(1, 10**4 + 1)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["count", "--perm", word, "--k", "21"]) == 0
+            assert main(["count", "--perm", word, "--k", "22"]) == 2
+        assert lengths == [10**4]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -386,7 +454,7 @@ class TestErrorContract:
         def crash(args):
             raise exc
 
-        monkeypatch.setitem(cli._COMMANDS, "series", crash)
+        monkeypatch.setattr(cli, "cmd_series", crash)
         code, out, err = run_cli(capsys, "series", "--weights", "catalan", "--order", "3")
         assert code == 2
         assert out == ""
