@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .trees import OrderedTree, decode, encode, generate_trees, level_sum
+from .trees import LaneBatch, OrderedTree, decode, encode, generate_trees
 
 
 class PathParseError(ValueError):
@@ -107,10 +107,18 @@ def area(p: DyckPath) -> int:
     return total
 
 
-def area_via_levels(t: OrderedTree) -> int:
-    """Area of the corresponding path computed from the tree's level sum alone."""
-    n = t.n_edges
-    return comb(n + 1, 2) - level_sum(t)
+def area_lanes(batch: LaneBatch) -> int:
+    """``area`` of every word in the batch read as a path, one per lane: the N steps before each E added up.
+
+    A lane must hold C(n, 2), the star's area; the N-step count, at most n,
+    fits too, since n <= 2 for every n with C(n, 2) < n.
+    """
+    batch.require(comb(batch.n, 2))
+    downs = total = 0
+    for up, rises in batch.columns():
+        downs += batch.ones - up
+        total += downs & rises
+    return total
 
 
 def generate_paths(n: int) -> Iterator[DyckPath]:

@@ -8,11 +8,15 @@ The word is the tree: an ``OrderedTree`` stores only its bracket word, the
 preorder stream of descents '(' and ascents ')'.  The generator builds words,
 ``decode`` is the one parser, and every codec and statistic in the package is
 a scan of the word.  Nothing recurses on a tree's depth, so trees of any
-depth work.
+depth work.  The censuses also scan words a batch at a time: ``LaneBatch``
+packs one lane of bytes per word into big ints, so each bracket position steps
+every word of the batch at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -151,6 +155,110 @@ def level_sum(t: OrderedTree) -> int:
         else:
             depth -= 1
     return total
+
+
+# -- lane scan: a batch of words steps through its columns together -----------
+
+# Words per lane batch: fewer Python steps per tree as it grows, more memory held.
+LANE_BATCH = 4096
+_BITS = bytes.maketrans(b"()", b"\x01\x00")
+
+
+def lane_bytes(largest: int) -> int:
+    """Bytes per lane for values 0..largest: the width rule of every lane scan."""
+    return max(1, (largest.bit_length() + 7) // 8)
+
+
+class LaneBatch:
+    """Equal-length words read column by column, one ``width``-byte lane per word.
+
+    Lane j of an int is its bytes j*width .. (j+1)*width - 1, little-endian,
+    and belongs to ``words[j]``.  Column i holds 1 in lane j where word j has
+    "(" at position i and 0 where it has ")"; ``ones`` holds 1 in every lane.
+    A few big-int operations per column then step every word at once, as
+    long as no lane outgrows its width.
+    """
+
+    __slots__ = ("words", "n", "width", "ones", "_bits")
+
+    def __init__(self, words: Sequence[str], width: int):
+        self.words = words
+        self.n = len(words[0]) // 2
+        self.width = width
+        self._bits = "".join(words).encode().translate(_BITS)
+        self.ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * len(words), "little")
+
+    def columns(self) -> Iterator[tuple[int, int]]:
+        """(column, mask) for position 0, 1, ..., made one at a time.
+
+        The mask is all ones across every lane whose word has "(" there.
+        """
+        size, lane = 2 * self.n, 8 * self.width
+        spread = bytearray(len(self.words) * self.width)
+        for i in range(size):
+            spread[:: self.width] = self._bits[i::size]
+            up = int.from_bytes(spread, "little")
+            yield up, (up << lane) - up
+
+    def require(self, largest: int) -> None:
+        """Raise ValueError unless a lane holds ``largest``; a wider value would carry into the next lane."""
+        if largest >> (8 * self.width):
+            raise ValueError(f"a {self.width}-byte lane cannot hold {largest}")
+
+    def values(self, lanes: int) -> list[int]:
+        """The value in each lane of ``lanes``, in word order."""
+        data = lanes.to_bytes(len(self.words) * self.width, "little")
+        if self.width == 1:
+            return list(data)
+        return [int.from_bytes(data[i : i + self.width], "little") for i in range(0, len(data), self.width)]
+
+
+def lane_batches(n: int, width: int) -> Iterator[LaneBatch]:
+    """The words on n edges in generation order, ``LANE_BATCH`` at a time.
+
+    A size past the word cache streams, so it is never held whole.
+    """
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
+    words = iter(_words(n))
+    while batch := tuple(islice(words, LANE_BATCH)):
+        yield LaneBatch(batch, width)
+
+
+def level_sum_lanes(batch: LaneBatch) -> int:
+    """``level_sum`` of every word in the batch, one per lane: the depth at each "(" added up.
+
+    A lane must hold C(n+1, 2), the chain's level sum.
+    """
+    batch.require(comb(batch.n + 1, 2))
+    depth = total = 0
+    for up, rises in batch.columns():
+        depth += (up << 1) - batch.ones
+        total += depth & rises
+    return total
+
+
+def level_profile_counts(batch: LaneBatch) -> Counter[tuple[int, ...]]:
+    """{``level_profile``: words} over the batch, in first-seen order.
+
+    ``at[d]`` holds 1 in the lanes of the words at depth d.  At each column
+    the lanes that rise move from d to d + 1 and add a vertex at level d + 1
+    to ``levels[d]``; the rest fall to d - 1.  A lane must hold n, the most
+    vertices on one level.  Levels 1..h of a profile are nonzero and the rest
+    zero, and ``levels[n]`` stays zero, so a word's height is n + 1 minus
+    its zero counts.
+    """
+    n = batch.n
+    batch.require(n)
+    at, levels = [batch.ones] + [0] * n, [0] * (n + 1)
+    for up, _ in batch.columns():
+        down = batch.ones ^ up
+        rising = [lanes & up for lanes in at[:-1]]
+        at = [lower | (higher & down) for lower, higher in zip([0] + rising, at[1:] + [0])]
+        for d, lanes in enumerate(rising):
+            levels[d] += lanes
+    seen = Counter(zip(*map(batch.values, levels)))
+    return Counter({counts[: n + 1 - counts.count(0)]: words for counts, words in seen.items()})
 
 
 def binom_profile_sum(profile: Sequence[int], k: int) -> int:

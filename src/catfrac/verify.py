@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
-from .paths import area, area_via_levels, generate_paths, path_to_tree, tree_to_path
+from .paths import area_lanes, path_to_tree, tree_to_path
 from .perms import (
     count_increasing_by_length,
     enumerate_132_avoiders,
@@ -25,7 +25,16 @@ from .perms import (
     tree_to_perm,
 )
 from .series import TruncSeries
-from .trees import binom_profile_sum, encode, generate_trees, level_profile
+from .trees import (
+    binom_profile_sum,
+    encode,
+    generate_trees,
+    lane_batches,
+    lane_bytes,
+    level_profile,
+    level_profile_counts,
+    level_sum_lanes,
+)
 
 _MAX_FAILURES = 5
 
@@ -56,16 +65,35 @@ class CheckResult:
 
 
 # -- brute-force oracles ----------------------------------------------------
+# Both censuses run ``trees.lane_batches``: every word on n edges, a batch at a
+# time, in lanes just wide enough for the largest value they hold.
 
 
 def area_polynomial(n: int) -> dict[int, int]:
-    """{area: count} over all Dyck paths of semilength n, by direct enumeration."""
-    return dict(Counter(area(p) for p in generate_paths(n)))
+    """{area: count} over all Dyck paths of semilength n, keys in first-seen order.
+
+    ``paths.area_lanes`` over every batch of words; a lane holds C(n, 2).
+    """
+    poly: Counter[int] = Counter()
+    for batch in lane_batches(n, lane_bytes(comb(n, 2))):
+        poly.update(batch.values(area_lanes(batch)))
+    return dict(poly)
 
 
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
-    """{level profile: trees} over all ordered trees on n edges."""
-    return dict(Counter(map(level_profile, generate_trees(n))))
+    """{level profile: trees} over all ordered trees on n edges, keys in first-seen order.
+
+    ``trees.level_profile_counts`` over every batch of words; a lane holds n.
+    """
+    census: Counter[tuple[int, ...]] = Counter()
+    for batch in lane_batches(n, lane_bytes(n)):
+        census.update(level_profile_counts(batch))
+    return dict(census)
+
+
+def area_from_level_sums(n: int, sums: int, ones: int = 1) -> int:
+    """Lemma 2's formula side, C(n+1, 2) - level sum, of one tree or, given ``ones``, of every lane."""
+    return comb(n + 1, 2) * ones - sums
 
 
 # -- series slices ------------------------------------------------------------
@@ -130,13 +158,27 @@ def check_level_census(max_edges: int) -> CheckResult:
 
 
 def check_area_formula(max_edges: int) -> CheckResult:
-    """Per tree: path area == C(n+1,2) - level sum."""
+    """Per tree: path area == C(n+1,2) - level sum.
 
-    def compare(t):
-        by_path, by_levels = area(tree_to_path(t)), area_via_levels(t)
-        yield None if by_path == by_levels else f"tree={encode(t)!r} area={by_path} formula={by_levels}"
+    Both sides are lane scans of a batch and are compared as whole batches;
+    a batch that differs is compared again tree by tree, in word order, and
+    only a differing tree builds its counterexample.
+    """
 
-    return _run("area vs level-sum formula", {"max_edges": max_edges}, _per_tree(compare, "trees checked"))
+    def unit(n):
+        for batch in lane_batches(n, lane_bytes(comb(n + 1, 2))):
+            areas, sums = area_lanes(batch), level_sum_lanes(batch)
+            if areas == area_from_level_sums(n, sums, batch.ones):
+                yield len(batch.words), None
+                continue
+            for word, by_path, level_total in zip(batch.words, batch.values(areas), batch.values(sums)):
+                by_levels = area_from_level_sums(n, level_total)
+                yield 1, None if by_path == by_levels else (
+                    f"n={n} tree={word!r} area={by_path} formula={by_levels}"
+                )
+        return f"n={n} trees checked"
+
+    return _run("area vs level-sum formula", {"max_edges": max_edges}, unit)
 
 
 def check_area_series(max_edges: int) -> CheckResult:

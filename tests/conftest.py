@@ -29,14 +29,14 @@ def small_trees(draw, max_edges=8):
 
 
 @st.composite
-def random_dyck_words(draw, max_edges):
-    """A uniform random bracket word on at most max_edges edges.
+def random_dyck_words(draw, max_edges, min_edges=0):
+    """A uniform random bracket word on min_edges to max_edges edges.
 
     Cycle lemma: of the rotations of a shuffled word with n '(' and n + 1
     ')', the one starting just after the first minimum prefix sum is a Dyck
     word followed by one extra ')'.
     """
-    n = draw(st.integers(min_value=0, max_value=max_edges))
+    n = draw(st.integers(min_value=min_edges, max_value=max_edges))
     steps = ["("] * n + [")"] * (n + 1)
     draw(st.randoms(use_true_random=False)).shuffle(steps)
     height = low = start = 0

@@ -16,13 +16,16 @@ bracket word).  The level-variable algebra (``shift_levels``,
 ``substitute_levels``, ``specialize``, ``fixed_point_check``) lives here
 too: no command of the package runs it.
 
-``pattern_polynomial_by_scan`` is the exception: it counts over the n!-filter
+``pattern_polynomial_by_scan`` is an exception: it counts over the n!-filter
 here with the package's ``count_increasing`` (the DP counter), and is checked
-against the triple and subset scans here.
+against the triple and subset scans here.  ``area_via_levels`` is another:
+Lemma 2's formula for one tree, on the package's ``level_sum`` (``verify``
+evaluates it in lanes, a batch of trees at a time).
 """
 
 from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 
 def catalan_table(max_n):
@@ -163,6 +166,13 @@ def column_area(word):
         else:
             total += height
     return total
+
+
+def area_via_levels(t):
+    """Area of the tree's path from its level sum alone: C(n+1, 2) - level sum."""
+    from catfrac.trees import level_sum
+
+    return comb(t.n_edges + 1, 2) - level_sum(t)
 
 
 def reference_eval_cf(weights, depth, order_z):

@@ -7,7 +7,6 @@ from catfrac.paths import (
     DyckPath,
     PathParseError,
     area,
-    area_via_levels,
     generate_paths,
     parse_path,
     path_to_tree,
@@ -16,7 +15,7 @@ from catfrac.paths import (
 from catfrac.trees import decode, generate_trees, level_sum
 
 from conftest import LEAF, small_trees
-from oracles import catalan_table, column_area, dyck_words
+from oracles import area_via_levels, catalan_table, column_area, dyck_words
 
 CHAIN3 = decode("((()))")
 STAR3 = decode("()()()")

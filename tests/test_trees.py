@@ -3,17 +3,23 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catfrac.paths import area, area_lanes, tree_to_path
 from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
+    LaneBatch,
     OrderedTree,
     TreeParseError,
     binom_level_sum,
     decode,
     encode,
     generate_trees,
+    lane_bytes,
     level_profile,
+    level_profile_counts,
     level_sum,
+    level_sum_lanes,
 )
 
 from conftest import LEAF, random_dyck_words, small_trees
@@ -216,3 +222,61 @@ class TestRandomDeepWords:
                 depth -= 1
         assert level_profile(t) == tuple(per_level[level] for level in range(1, len(per_level) + 1))
         assert perm_to_tree(tree_to_perm(t)) == t
+
+
+@st.composite
+def same_size_words(draw, max_edges=60):
+    """1 to 8 random bracket words, all on the same number of edges."""
+    n = draw(st.integers(min_value=0, max_value=max_edges))
+    return draw(st.lists(random_dyck_words(n, min_edges=n), min_size=1, max_size=8))
+
+
+def chain(n):
+    return "(" * n + ")" * n
+
+
+def star(n):
+    return "()" * n
+
+
+class TestLaneScan:
+    @settings(max_examples=60, deadline=None)
+    @given(same_size_words())
+    def test_lanes_equal_the_per_word_scans(self, words):
+        # past 22 edges a level sum, and past 23 an area, needs 2-byte lanes
+        n = len(words[0]) // 2
+        trees = [decode(w) for w in words]
+        sums = LaneBatch(words, lane_bytes(comb(n + 1, 2)))
+        assert sums.values(level_sum_lanes(sums)) == [level_sum(t) for t in trees]
+        areas = LaneBatch(words, lane_bytes(comb(n, 2)))
+        assert areas.values(area_lanes(areas)) == [area(tree_to_path(t)) for t in trees]
+        counts = level_profile_counts(LaneBatch(words, lane_bytes(n)))
+        assert list(counts.items()) == list(Counter(map(level_profile, trees)).items())
+
+    def test_width_rule(self):
+        assert [lane_bytes(x) for x in (0, 1, 255, 256, 65535, 65536)] == [1, 1, 1, 2, 2, 3]
+
+    def test_one_byte_holds_level_sums_through_22_edges(self):
+        batch = LaneBatch([star(22), chain(22)], 1)
+        assert batch.values(level_sum_lanes(batch)) == [22, comb(23, 2)] == [22, 253]
+        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 276"):
+            level_sum_lanes(LaneBatch([chain(23)], 1))
+        batch = LaneBatch([chain(23)], lane_bytes(comb(24, 2)))
+        assert batch.width == 2 and batch.values(level_sum_lanes(batch)) == [276]
+
+    def test_one_byte_holds_areas_through_23_edges(self):
+        batch = LaneBatch([star(23), chain(23)], 1)
+        assert batch.values(area_lanes(batch)) == [comb(23, 2), 0] == [253, 0]
+        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 276"):
+            area_lanes(LaneBatch([star(24)], 1))
+
+    def test_one_byte_holds_profile_counts_through_255_edges(self):
+        assert level_profile_counts(LaneBatch([star(255), chain(255)], 1)) == {(255,): 1, (1,) * 255: 1}
+        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 256"):
+            level_profile_counts(LaneBatch([star(256)], 1))
+        assert level_profile_counts(LaneBatch([star(256)], lane_bytes(256))) == {(256,): 1}
+
+    def test_the_bare_root(self):
+        batch = LaneBatch([""], 1)
+        assert batch.values(level_sum_lanes(batch)) == batch.values(area_lanes(batch)) == [0]
+        assert level_profile_counts(batch) == {(): 1}

@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
+from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from catfrac import verify
+from catfrac import trees, verify
 from catfrac.cli import main
-from catfrac.paths import _trusted_path
-from catfrac.trees import OrderedTree
+from catfrac.paths import _trusted_path, area, tree_to_path
+from catfrac.trees import OrderedTree, generate_trees, level_profile, level_sum
 from catfrac.verify import CheckResult
 
 from conftest import CHILD_ENV
@@ -116,7 +120,7 @@ class TestCheckResult:
 
 class TestEarlyStop:
     def test_area_formula_stops_after_five_failures(self, monkeypatch):
-        monkeypatch.setattr(verify, "area_via_levels", lambda t: -1)
+        monkeypatch.setattr(verify, "area_from_level_sums", lambda n, sums, ones=1: -1)
         result = verify.check_area_formula(4)
         assert result.ok is False
         assert result.failures == [
@@ -280,6 +284,69 @@ class TestEarlyStop:
         assert len(result.detail_lines) == 4
 
 
+@lru_cache(maxsize=None)
+def _per_tree_censuses(n):
+    """(level profiles, areas) of the trees on n edges, counted one tree at a time."""
+    profiles = Counter(map(level_profile, generate_trees(n)))
+    areas = Counter(area(tree_to_path(t)) for t in generate_trees(n))
+    return list(profiles.items()), list(areas.items())
+
+
+def _formula_off_where_the_level_sum_is_a_multiple_of_3(n, sums, ones=1):
+    """Lemma 2's formula plus 1 in every lane whose level sum is 0 mod 3 (1-byte lanes)."""
+    lanes = sums.to_bytes((ones.bit_length() + 7) // 8, "little")
+    return comb(n + 1, 2) * ones - sums + int.from_bytes(bytes(s % 3 == 0 for s in lanes), "little")
+
+
+class TestLaneCensus:
+    @pytest.mark.parametrize("batch", [1, 3, trees.LANE_BATCH])
+    def test_lane_censuses_equal_the_per_tree_censuses(self, monkeypatch, batch):
+        # a batch of 1 or 3 puts batch boundaries everywhere and leaves short last batches
+        monkeypatch.setattr(trees, "LANE_BATCH", batch)
+        for n in range(12):
+            profiles, areas = _per_tree_censuses(n)
+            # keys in first-seen order, which the series-slice failure lines print
+            assert list(verify.level_profile_census(n).items()) == profiles
+            assert list(verify.area_polynomial(n).items()) == areas
+
+    @pytest.mark.parametrize(
+        "formula", [lambda n, sums, ones=1: -1, _formula_off_where_the_level_sum_is_a_multiple_of_3]
+    )
+    def test_lemma2_failures_do_not_depend_on_the_batch_size(self, monkeypatch, formula):
+        monkeypatch.setattr(verify, "area_from_level_sums", formula)
+        default = verify.check_area_formula(8)
+        monkeypatch.setattr(trees, "LANE_BATCH", 3)
+        small = verify.check_area_formula(8)
+        assert len(default.failures) == 5
+        assert (small.failures, small.checked, small.detail_lines) == (
+            default.failures,
+            default.checked,
+            default.detail_lines,
+        )
+        # the same five trees, found one tree at a time
+        wrong = (
+            (n, t)
+            for n in range(9)
+            for t in generate_trees(n)
+            if formula(n, level_sum(t)) != area(tree_to_path(t))
+        )
+        assert [line.split(" area=")[0] for line in default.failures] == [
+            f"n={n} tree={t.word!r}" for n, t in list(wrong)[:5]
+        ]
+
+    def test_the_census_scans_stream_past_the_word_cache(self):
+        for _ in generate_trees(trees._CACHE_MAX):  # fills the shared word cache first
+            pass
+        for scan in (lambda: verify.check_area_formula(12), lambda: verify.level_profile_census(12)):
+            tracemalloc.start()
+            try:
+                scan()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+
+
 def _doubled(name):
     def mutate(monkeypatch):
         real = getattr(verify, name)
@@ -301,7 +368,7 @@ def _reversed_words(monkeypatch):
 # check id -> (its TestEarlyStop mutation, max_edges, k, items checked through the fifth failure)
 STOP_CASES = {
     "theorem1": (_doubled("level_profile_census"), 7, None, 2 * (1 + 1 + 2 + 5 + 14)),
-    "lemma2": (lambda mp: mp.setattr(verify, "area_via_levels", lambda t: -1), 4, None, 5),
+    "lemma2": (lambda mp: mp.setattr(verify, "area_from_level_sums", lambda n, sums, ones=1: -1), 4, None, 5),
     "theorem3": (_doubled("area_polynomial"), 8, None, 2 * (1 + 1 + 2 + 5 + 14)),
     "lemma3": (_reversed_children, 4, None, 14),
     "lemma4": (_reversed_words, 4, 3, 17),
