@@ -28,7 +28,7 @@ from .perms import (
     perm_to_tree,
     tree_to_perm,
 )
-from .trees import OrderedTree, TreeParseError, decode, encode, generate_trees, level_profile, level_sum
+from .trees import TreeParseError, decode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
 _PRESETS = {
@@ -151,10 +151,10 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _tree_stats(t: OrderedTree) -> dict:
+def _tree_stats(t: str) -> dict:
     profile = level_profile(t)
     return {
-        "tree": encode(t),
+        "tree": t,
         "profile": list(profile),
         "level_sum": level_sum(t),
         "area": area(tree_to_path(t)),
@@ -165,7 +165,7 @@ def _tree_stats(t: OrderedTree) -> dict:
 def cmd_enumerate(args) -> int:
     for t in generate_trees(args.edges):
         if args.json:
-            doc = _tree_stats(t) if args.stats else {"tree": encode(t)}
+            doc = _tree_stats(t) if args.stats else {"tree": t}
             print(json.dumps(doc))
         elif args.stats:
             s = _tree_stats(t)
@@ -175,11 +175,11 @@ def cmd_enumerate(args) -> int:
                 f"\tarea={s['area']}\tperm={format_perm(s['perm'])}"
             )
         else:
-            print(encode(t))
+            print(t)
     return 0
 
 
-def _to_tree(kind: str, value: str) -> OrderedTree:
+def _to_tree(kind: str, value: str) -> str:
     if kind == "tree":
         try:
             return decode(value.strip())
@@ -191,9 +191,9 @@ def _to_tree(kind: str, value: str) -> OrderedTree:
     return perm_to_tree(parse_perm(value))
 
 
-def _from_tree(kind: str, t: OrderedTree) -> str:
+def _from_tree(kind: str, t: str) -> str:
     if kind == "tree":
-        return encode(t)
+        return t
     if kind == "path":
         return tree_to_path(t).steps
     return format_perm(tree_to_perm(t))

@@ -7,10 +7,9 @@ an E step, returning upward emits an N step.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator, NamedTuple
 
-from .trees import LaneBatch, OrderedTree, decode, encode, generate_trees
+from .trees import LaneBatch, decode, generate_trees
 
 
 class PathParseError(ValueError):
@@ -82,12 +81,12 @@ def _trusted_path(steps: str) -> DyckPath:
     return tuple.__new__(DyckPath, (steps,))
 
 
-def tree_to_path(t: OrderedTree) -> DyckPath:
+def tree_to_path(t: str) -> DyckPath:
     """Preorder traversal: descent -> E, ascent -> N."""
-    return _trusted_path(encode(t).translate(_TO_STEPS))
+    return _trusted_path(t.translate(_TO_STEPS))
 
 
-def path_to_tree(p: DyckPath) -> OrderedTree:
+def path_to_tree(p: DyckPath) -> str:
     """Inverse of tree_to_path (total on valid paths)."""
     return decode(p.steps.translate(_TO_BRACKETS))
 
@@ -108,12 +107,7 @@ def area(p: DyckPath) -> int:
 
 
 def area_lanes(batch: LaneBatch) -> int:
-    """``area`` of every word in the batch read as a path, one per lane: the N steps before each E added up.
-
-    A lane must hold C(n, 2), the star's area; the N-step count, at most n,
-    fits too, since n <= 2 for every n with C(n, 2) < n.
-    """
-    batch.require(comb(batch.n, 2))
+    """``area`` of every word in the batch read as a path, one per lane: the N steps before each E added up."""
     downs = total = 0
     for up, rises in batch.columns():
         downs += batch.ones - up

@@ -15,8 +15,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .trees import OrderedTree, encode
-
 PermWord = tuple[int, ...]
 
 
@@ -37,12 +35,12 @@ def validate_perm(p: Sequence[int]) -> PermWord:
     return word
 
 
-def tree_to_perm(t: OrderedTree) -> PermWord:
+def tree_to_perm(t: str) -> PermWord:
     """Preorder-decreasing labels read in postorder; the bare root gives ()."""
     word: list[int] = []
     open_labels: list[int] = []
-    label = t.n_edges
-    for ch in encode(t):
+    label = len(t) // 2
+    for ch in t:
         if ch == "(":
             open_labels.append(label)
             label -= 1
@@ -131,7 +129,7 @@ def count_increasing(p: Sequence[int], k: int) -> int:
     return count_increasing_by_length(p, k).get(k, 0)
 
 
-def root_to_leaf_subsets_by_length(t: OrderedTree, k: int) -> dict[int, set[frozenset[int]]]:
+def root_to_leaf_subsets_by_length(t: str, k: int) -> dict[int, set[frozenset[int]]]:
     """{L: label sets of L nonroot vertices along one root-to-leaf path} for L = 1..k.
 
     One scan of the bracket word: at each '(' the open labels are exactly
@@ -141,11 +139,11 @@ def root_to_leaf_subsets_by_length(t: OrderedTree, k: int) -> dict[int, set[froz
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = label = t.n_edges
+    n = label = len(t) // 2
     top = min(k, n)
     out: dict[int, set[frozenset[int]]] = {length: set() for length in range(1, top + 1)}
     open_labels: list[int] = []
-    for ch in encode(t):
+    for ch in t:
         if ch == "(":
             # Only lengths the open labels can fill: combinations() allocates
             # its size before it notices the pool is smaller.
@@ -161,7 +159,7 @@ def root_to_leaf_subsets_by_length(t: OrderedTree, k: int) -> dict[int, set[froz
     return out
 
 
-def root_to_leaf_subsets(t: OrderedTree, k: int) -> set[frozenset[int]]:
+def root_to_leaf_subsets(t: str, k: int) -> set[frozenset[int]]:
     """Label sets of k nonroot vertices lying along one root-to-leaf path."""
     return root_to_leaf_subsets_by_length(t, k).get(k, set())
 
@@ -194,7 +192,7 @@ def increasing_pattern_subsets(p: Sequence[int], k: int) -> set[frozenset[int]]:
     return increasing_pattern_subsets_by_length(p, k).get(k, set())
 
 
-def perm_to_tree(p: Sequence[int]) -> OrderedTree:
+def perm_to_tree(p: Sequence[int]) -> str:
     """Inverse of tree_to_perm, total on (132)-avoiding permutations.
 
     Raises Pattern132Error (with a witnessing triple) on words containing a
@@ -216,7 +214,7 @@ def perm_to_tree(p: Sequence[int]) -> OrderedTree:
             parts.append("(")
             next_label -= 1
         parts.append(")")
-    return OrderedTree("".join(parts))
+    return "".join(parts)
 
 
 def parse_perm(text: str) -> PermWord:

@@ -4,13 +4,14 @@ A tree is a root with an ordered sequence of child subtrees; the left-to-right
 order matters.  The root sits at level 0, so a tree on n edges has n nonroot
 vertices at levels >= 1.
 
-The word is the tree: an ``OrderedTree`` stores only its bracket word, the
-preorder stream of descents '(' and ascents ')'.  The generator builds words,
-``decode`` is the one parser, and every codec and statistic in the package is
-a scan of the word.  Nothing recurses on a tree's depth, so trees of any
-depth work.  The censuses also scan words a batch at a time: ``LaneBatch``
-packs one lane of bytes per word into big ints, so each bracket position steps
-every word of the batch at once.
+The word is the tree: a tree is the ``str`` of its bracket word, the preorder
+stream of descents '(' and ascents ')', and a tree on n edges has length 2n.
+The generator builds words, ``decode`` is the one check that a text is a
+tree, and every codec and statistic in the package is a scan of the word.
+Nothing recurses on a tree's depth, so trees of any depth work.  The censuses
+also scan words a batch at a time: ``LaneBatch`` packs one lane of bytes per
+word into big ints, so each bracket position steps every word of the batch at
+once.
 """
 
 from __future__ import annotations
@@ -28,53 +29,6 @@ class TreeParseError(ValueError):
         super().__init__(f"{message} at position {position}")
         self.reason = message
         self.position = position
-
-
-class OrderedTree:
-    """An immutable tree held as its bracket word; build one from text with ``decode``.
-
-    The constructor trusts its word to be balanced; ``decode`` is the one
-    place that checks.  Equality, hashing and ``repr`` are string operations.
-    """
-
-    __slots__ = ("_word",)
-
-    def __init__(self, word: str = ""):
-        if not isinstance(word, str):
-            raise TypeError(f"OrderedTree takes a bracket word, not {type(word).__name__}")
-        self._word = word
-
-    @property
-    def word(self) -> str:
-        return self._word
-
-    def __eq__(self, other):
-        if not isinstance(other, OrderedTree):
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __repr__(self):
-        return f"decode({self.word!r})"
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.word) // 2
-
-    @property
-    def children(self) -> tuple[OrderedTree, ...]:
-        """The root's subtrees, cut out of the word at its returns to depth 0."""
-        word = self.word
-        out = []
-        depth = start = 0
-        for pos, ch in enumerate(word):
-            depth += 1 if ch == "(" else -1
-            if depth == 0:
-                out.append(OrderedTree(word[start + 1 : pos]))
-                start = pos + 1
-        return tuple(out)
 
 
 # Words up to this edge count are kept as shared tuples; larger sizes stream.
@@ -117,7 +71,7 @@ def _streamed_words(n: int) -> Iterator[str]:
                     yield block + v
 
 
-def generate_trees(n: int) -> Iterator[OrderedTree]:
+def generate_trees(n: int) -> Iterator[str]:
     """Yield every ordered tree on n edges, Catalan(n) of them, no duplicates.
 
     Canonical order: by the edge count of the first subtree, ascending, then
@@ -127,14 +81,14 @@ def generate_trees(n: int) -> Iterator[OrderedTree]:
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    yield from map(OrderedTree, _words(n))
+    yield from _words(n)
 
 
-def level_profile(t: OrderedTree) -> tuple[int, ...]:
+def level_profile(t: str) -> tuple[int, ...]:
     """counts[k-1] = number of vertices at level k; empty for the bare root."""
     counts: list[int] = []
     depth = 0
-    for ch in t.word:
+    for ch in t:
         if ch == "(":
             if depth == len(counts):
                 counts.append(0)
@@ -145,10 +99,10 @@ def level_profile(t: OrderedTree) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def level_sum(t: OrderedTree) -> int:
+def level_sum(t: str) -> int:
     """Sum of level(v) over nonroot vertices (the root contributes 0): the depth at each '('."""
     total = depth = 0
-    for ch in t.word:
+    for ch in t:
         if ch == "(":
             depth += 1
             total += depth
@@ -165,7 +119,7 @@ _BITS = bytes.maketrans(b"()", b"\x01\x00")
 
 
 def lane_bytes(largest: int) -> int:
-    """Bytes per lane for values 0..largest: the width rule of every lane scan."""
+    """Bytes per lane for values 0..largest."""
     return max(1, (largest.bit_length() + 7) // 8)
 
 
@@ -175,16 +129,19 @@ class LaneBatch:
     Lane j of an int is its bytes j*width .. (j+1)*width - 1, little-endian,
     and belongs to ``words[j]``.  Column i holds 1 in lane j where word j has
     "(" at position i and 0 where it has ")"; ``ones`` holds 1 in every lane.
-    A few big-int operations per column then step every word at once, as
-    long as no lane outgrows its width.
+    A few big-int operations per column then step every word at once.  A lane
+    holds C(n+1, 2), the chain's level sum, which bounds every value a scan
+    makes: level sums, areas (at most C(n, 2)), depths and profile counts (at
+    most n).  So no lane carries into the next, and through 22 edges a lane is
+    one byte.
     """
 
     __slots__ = ("words", "n", "width", "ones", "_bits")
 
-    def __init__(self, words: Sequence[str], width: int):
+    def __init__(self, words: Sequence[str]):
         self.words = words
         self.n = len(words[0]) // 2
-        self.width = width
+        self.width = width = lane_bytes(comb(self.n + 1, 2))
         self._bits = "".join(words).encode().translate(_BITS)
         self.ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * len(words), "little")
 
@@ -200,11 +157,6 @@ class LaneBatch:
             up = int.from_bytes(spread, "little")
             yield up, (up << lane) - up
 
-    def require(self, largest: int) -> None:
-        """Raise ValueError unless a lane holds ``largest``; a wider value would carry into the next lane."""
-        if largest >> (8 * self.width):
-            raise ValueError(f"a {self.width}-byte lane cannot hold {largest}")
-
     def values(self, lanes: int) -> list[int]:
         """The value in each lane of ``lanes``, in word order."""
         data = lanes.to_bytes(len(self.words) * self.width, "little")
@@ -213,7 +165,7 @@ class LaneBatch:
         return [int.from_bytes(data[i : i + self.width], "little") for i in range(0, len(data), self.width)]
 
 
-def lane_batches(n: int, width: int) -> Iterator[LaneBatch]:
+def lane_batches(n: int) -> Iterator[LaneBatch]:
     """The words on n edges in generation order, ``LANE_BATCH`` at a time.
 
     A size past the word cache streams, so it is never held whole.
@@ -222,15 +174,11 @@ def lane_batches(n: int, width: int) -> Iterator[LaneBatch]:
         raise ValueError("edge count must be nonnegative")
     words = iter(_words(n))
     while batch := tuple(islice(words, LANE_BATCH)):
-        yield LaneBatch(batch, width)
+        yield LaneBatch(batch)
 
 
 def level_sum_lanes(batch: LaneBatch) -> int:
-    """``level_sum`` of every word in the batch, one per lane: the depth at each "(" added up.
-
-    A lane must hold C(n+1, 2), the chain's level sum.
-    """
-    batch.require(comb(batch.n + 1, 2))
+    """``level_sum`` of every word in the batch, one per lane: the depth at each "(" added up."""
     depth = total = 0
     for up, rises in batch.columns():
         depth += (up << 1) - batch.ones
@@ -243,13 +191,11 @@ def level_profile_counts(batch: LaneBatch) -> Counter[tuple[int, ...]]:
 
     ``at[d]`` holds 1 in the lanes of the words at depth d.  At each column
     the lanes that rise move from d to d + 1 and add a vertex at level d + 1
-    to ``levels[d]``; the rest fall to d - 1.  A lane must hold n, the most
-    vertices on one level.  Levels 1..h of a profile are nonzero and the rest
-    zero, and ``levels[n]`` stays zero, so a word's height is n + 1 minus
-    its zero counts.
+    to ``levels[d]``; the rest fall to d - 1.  Levels 1..h of a profile are
+    nonzero and the rest zero, and ``levels[n]`` stays zero, so a word's
+    height is n + 1 minus its zero counts.
     """
     n = batch.n
-    batch.require(n)
     at, levels = [batch.ones] + [0] * n, [0] * (n + 1)
     for up, _ in batch.columns():
         down = batch.ones ^ up
@@ -272,18 +218,30 @@ def binom_profile_sum(profile: Sequence[int], k: int) -> int:
     return sum(c * comb(level - 1, k - 1) for level, c in enumerate(profile, start=1))
 
 
-def binom_level_sum(t: OrderedTree, k: int) -> int:
+def binom_level_sum(t: str, k: int) -> int:
     """Sum of C(level(v)-1, k-1) over nonroot vertices: the formula on t's profile."""
     return binom_profile_sum(level_profile(t), k)
 
 
-def encode(t: OrderedTree) -> str:
-    """Balanced parentheses: '(' on preorder descent, ')' on ascent; root is ''."""
-    return t.word
+def children(t: str) -> tuple[str, ...]:
+    """The root's subtrees, cut out of the word at its returns to depth 0."""
+    out = []
+    depth = start = 0
+    for pos, ch in enumerate(t):
+        depth += 1 if ch == "(" else -1
+        if depth == 0:
+            out.append(t[start + 1 : pos])
+            start = pos + 1
+    return tuple(out)
 
 
-def decode(s: str) -> OrderedTree:
-    """Inverse of encode; rejects unbalanced or alien input with its position."""
+def encode(t: str) -> str:
+    """Balanced parentheses: '(' on preorder descent, ')' on ascent; root is ''.  The word is the tree."""
+    return t
+
+
+def decode(s: str) -> str:
+    """s itself, once checked to be a tree's word; rejects unbalanced or alien input with its position."""
     depth = 0
     for pos, ch in enumerate(s):
         if ch == "(":
@@ -296,4 +254,4 @@ def decode(s: str) -> OrderedTree:
             raise TreeParseError(f"unexpected character {ch!r}", pos)
     if depth:
         raise TreeParseError("unclosed '('", len(s))
-    return OrderedTree(s)
+    return s

@@ -27,10 +27,9 @@ from .perms import (
 from .series import TruncSeries
 from .trees import (
     binom_profile_sum,
-    encode,
+    children,
     generate_trees,
     lane_batches,
-    lane_bytes,
     level_profile,
     level_profile_counts,
     level_sum_lanes,
@@ -66,16 +65,17 @@ class CheckResult:
 
 # -- brute-force oracles ----------------------------------------------------
 # Both censuses run ``trees.lane_batches``: every word on n edges, a batch at a
-# time, in lanes just wide enough for the largest value they hold.
+# time, in lanes that ``LaneBatch`` sizes to hold C(n+1, 2), the largest value
+# any scan makes.
 
 
 def area_polynomial(n: int) -> dict[int, int]:
     """{area: count} over all Dyck paths of semilength n, keys in first-seen order.
 
-    ``paths.area_lanes`` over every batch of words; a lane holds C(n, 2).
+    ``paths.area_lanes`` over every batch of words.
     """
     poly: Counter[int] = Counter()
-    for batch in lane_batches(n, lane_bytes(comb(n, 2))):
+    for batch in lane_batches(n):
         poly.update(batch.values(area_lanes(batch)))
     return dict(poly)
 
@@ -83,10 +83,10 @@ def area_polynomial(n: int) -> dict[int, int]:
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
     """{level profile: trees} over all ordered trees on n edges, keys in first-seen order.
 
-    ``trees.level_profile_counts`` over every batch of words; a lane holds n.
+    ``trees.level_profile_counts`` over every batch of words.
     """
     census: Counter[tuple[int, ...]] = Counter()
-    for batch in lane_batches(n, lane_bytes(n)):
+    for batch in lane_batches(n):
         census.update(level_profile_counts(batch))
     return dict(census)
 
@@ -166,7 +166,7 @@ def check_area_formula(max_edges: int) -> CheckResult:
     """
 
     def unit(n):
-        for batch in lane_batches(n, lane_bytes(comb(n + 1, 2))):
+        for batch in lane_batches(n):
             areas, sums = area_lanes(batch), level_sum_lanes(batch)
             if areas == area_from_level_sums(n, sums, batch.ones):
                 yield len(batch.words), None
@@ -206,14 +206,14 @@ def check_word_concatenation(max_edges: int) -> CheckResult:
     def compare(t):
         direct = tree_to_perm(t)
         blocks: list[int] = []
-        offset = t.n_edges
-        for sub in t.children:
+        offset = len(t) // 2
+        for sub in children(t):
             root_label = offset
-            offset -= sub.n_edges + 1
+            offset -= len(sub) // 2 + 1
             blocks.extend(x + offset for x in tree_to_perm(sub))
             blocks.append(root_label)
         split = tuple(blocks)
-        yield None if split == direct else f"tree={encode(t)!r} split={split} direct={direct}"
+        yield None if split == direct else f"tree={t!r} split={split} direct={direct}"
 
     return _run("word concatenation recursion", {"max_edges": max_edges}, _per_tree(compare, "trees checked"))
 
@@ -231,7 +231,7 @@ def check_chain_subsets(max_edges: int, k_max: int) -> CheckResult:
             patterns = patterns_by_length.get(k, set())
             chains = chains_by_length.get(k, set())
             yield None if patterns == chains else (
-                f"k={k} tree={encode(t)!r} patterns={sorted(map(sorted, patterns))} "
+                f"k={k} tree={t!r} patterns={sorted(map(sorted, patterns))} "
                 f"chains={sorted(map(sorted, chains))}"
             )
 
@@ -253,7 +253,7 @@ def check_pattern_counts(max_edges: int, k_max: int) -> CheckResult:
         for k in range(1, k_max + 1):
             by_word, by_levels = counts.get(k, 0), binom_profile_sum(profile, k)
             yield None if by_word == by_levels else (
-                f"k={k} tree={encode(t)!r} word={by_word} levels={by_levels}"
+                f"k={k} tree={t!r} word={by_word} levels={by_levels}"
             )
 
     unit = _per_tree(compare, f"trees checked for k <= {k_max}")
@@ -304,7 +304,7 @@ def check_bijections(max_edges: int) -> CheckResult:
                     err = None if inverse(image) == t else ""
                 except ValueError as exc:
                     err = f": {exc}"
-                yield count, None if err is None else f"n={n} tree={encode(t)!r} {kind} round trip broke{err}"
+                yield count, None if err is None else f"n={n} tree={t!r} {kind} round trip broke{err}"
             if n <= PERM_ORACLE_MAX:
                 images.add(word)
         if n > PERM_ORACLE_MAX:

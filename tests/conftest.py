@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from hypothesis import strategies as st
 
 from catfrac.series import Monomial, TruncSeries
-from catfrac.trees import OrderedTree, generate_trees
+from catfrac.trees import generate_trees
 from oracles import catalan_table
 
 # Child interpreters find the package in this checkout, installed or not.
@@ -17,7 +17,7 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.
 _CATALAN = catalan_table(10)
 _TREE_LISTS = {n: list(generate_trees(n)) for n in range(9)}
 
-LEAF = OrderedTree()  # the bare root, no edges
+LEAF = ""  # the bare root, no edges
 
 
 @st.composite

@@ -113,12 +113,14 @@ def chain_subsets_by_filter(t, k):
     ``tree_to_perm``.  A set is kept when, sorted by level, each label is an
     ancestor of the next.
     """
+    from catfrac.trees import children
+
     level, ancestors = {}, {}
-    next_label = t.n_edges
+    n = next_label = len(t) // 2
 
     def walk(node, depth, above):
         nonlocal next_label
-        for child in node.children:
+        for child in children(node):
             label = next_label
             next_label -= 1
             level[label], ancestors[label] = depth + 1, above
@@ -126,7 +128,7 @@ def chain_subsets_by_filter(t, k):
 
     walk(t, 0, frozenset())
     out = set()
-    for combo in combinations(range(1, t.n_edges + 1), k):
+    for combo in combinations(range(1, n + 1), k):
         chain = sorted(combo, key=level.__getitem__)
         if all(chain[i] in ancestors[chain[i + 1]] for i in range(k - 1)):
             out.add(frozenset(combo))
@@ -172,7 +174,7 @@ def area_via_levels(t):
     """Area of the tree's path from its level sum alone: C(n+1, 2) - level sum."""
     from catfrac.trees import level_sum
 
-    return comb(t.n_edges + 1, 2) - level_sum(t)
+    return comb(len(t) // 2 + 1, 2) - level_sum(t)
 
 
 def reference_eval_cf(weights, depth, order_z):

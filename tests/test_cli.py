@@ -727,7 +727,7 @@ import contextlib, io, sys
 from math import comb
 from catfrac import cli
 from catfrac.paths import parse_path, path_to_tree
-from catfrac.trees import binom_level_sum, decode, generate_trees, level_profile, level_sum
+from catfrac.trees import binom_level_sum, children, decode, generate_trees, level_profile, level_sum
 
 n = 10_000
 shapes = {
@@ -746,19 +746,14 @@ for shape, enc in shapes.items():
                     code = cli.main(["map", "--from", src, "--to", dst, enc[src]])
                 assert (code, out.getvalue()) == (0, enc[dst] + "\\n"), (shape, src, dst)
 chain = decode(shapes["chain"]["tree"])
-same = path_to_tree(parse_path(shapes["chain"]["path"]))
-assert same is not chain and same == chain and hash(same) == hash(chain)
+assert path_to_tree(parse_path(shapes["chain"]["path"])) == chain
 star = decode(shapes["star"]["tree"])
-assert chain != star
-assert len(star.children) == n and set(star.children) == {decode("")}
-(only_child,) = chain.children
-assert only_child.n_edges == n - 1 and only_child == decode("(" * (n - 1) + ")" * (n - 1))
-assert repr(chain) == "decode(%r)" % shapes["chain"]["tree"]
+assert children(star) == ("",) * n
+assert children(chain) == ("(" * (n - 1) + ")" * (n - 1),)
 assert level_profile(chain) == (1,) * n
 assert level_sum(chain) == comb(n + 1, 2)
 assert binom_level_sum(chain, 3) == comb(n, 3)
-assert chain.n_edges == n
-first = [t.word for _, t in zip(range(3), generate_trees(n))]
+first = [t for _, t in zip(range(3), generate_trees(n))]
 assert first == ["()" * n, "()" * (n - 2) + "(())", "()" * (n - 3) + "(())()"], [w[-12:] for w in first]
 """
 

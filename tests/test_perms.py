@@ -60,7 +60,7 @@ class TestTreeToPerm:
     @given(small_trees())
     def test_output_is_a_permutation(self, t):
         word = tree_to_perm(t)
-        assert sorted(word) == list(range(1, t.n_edges + 1))
+        assert sorted(word) == list(range(1, len(t) // 2 + 1))
 
     @given(small_trees())
     def test_image_avoids_132(self, t):
@@ -211,8 +211,8 @@ class TestTreePatternStatistics:
 
     @given(small_trees())
     def test_k1_counts_edges(self, t):
-        assert binom_level_sum(t, 1) == t.n_edges
-        assert len(root_to_leaf_subsets(t, 1)) == t.n_edges
+        assert binom_level_sum(t, 1) == len(t) // 2
+        assert len(root_to_leaf_subsets(t, 1)) == len(t) // 2
 
     def test_chain_subsets_k2(self):
         assert len(root_to_leaf_subsets(CHAIN3, 2)) == 3

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catfrac.paths import area, area_lanes, tree_to_path
+from catfrac.paths import area, area_lanes, parse_path, path_to_tree, tree_to_path
 from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
     LaneBatch,
-    OrderedTree,
     TreeParseError,
     binom_level_sum,
+    children,
     decode,
     encode,
     generate_trees,
@@ -63,7 +63,7 @@ class TestGeneration:
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_streamed_sizes_keep_the_first_return_order(self, n):
-        assert [t.word for t in generate_trees(n)] == first_return_words(n)
+        assert list(generate_trees(n)) == first_return_words(n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestLevelProfile:
     @given(small_trees())
     def test_profile_sums_to_edge_count_no_trailing_zeros(self, t):
         profile = level_profile(t)
-        assert sum(profile) == t.n_edges
+        assert sum(profile) == len(t) // 2
         assert not profile or (profile[0] >= 1 and profile[-1] >= 1)
 
 
@@ -114,7 +114,7 @@ class TestLevelSums:
 
     @given(small_trees())
     def test_k1_counts_edges(self, t):
-        assert binom_level_sum(t, 1) == t.n_edges
+        assert binom_level_sum(t, 1) == len(t) // 2
 
     @given(small_trees())
     def test_binom_level_sum_consistent_with_profile(self, t):
@@ -184,25 +184,19 @@ class TestCodec:
 
 
 class TestOrderedTree:
-    def test_n_edges(self):
-        assert LEAF.n_edges == 0
-        assert CHAIN3.n_edges == 3
-        assert decode("()(((())))").n_edges == 5
+    """A tree is the str of its bracket word."""
+
+    def test_producers_return_words(self):
+        assert all(type(t) is str and len(t) == 8 for t in generate_trees(4))
+        for t in (decode("(())()"), perm_to_tree((2, 3, 1)), path_to_tree(parse_path("EENNEN"))):
+            assert type(t) is str and t == "(())()"
 
     def test_structural_equality(self):
-        assert decode("()()").children == (LEAF, LEAF)
-        assert decode("()(((())))").children == (LEAF, CHAIN3)
-
-    def test_non_string_argument_rejected(self):
-        with pytest.raises(TypeError):
-            OrderedTree((LEAF, CHAIN3))
-
-    def test_word_cannot_be_reassigned(self):
-        with pytest.raises(AttributeError):
-            CHAIN3.word = "()"
-        with pytest.raises(AttributeError):
-            del CHAIN3.word
-        assert encode(CHAIN3) == "((()))"
+        # children cuts the word at its returns to depth 0
+        assert children(LEAF) == ()
+        assert children("()()") == (LEAF, LEAF)
+        assert children("()(((())))") == (LEAF, CHAIN3)
+        assert children(CHAIN3) == ("(())",)
 
 
 class TestRandomDeepWords:
@@ -210,8 +204,8 @@ class TestRandomDeepWords:
     @given(random_dyck_words(max_edges=2000))
     def test_word_children_levels_and_perm_round_trip(self, w):
         t = decode(w)
-        assert t.word == w
-        assert "".join("(" + encode(c) + ")" for c in t.children) == w
+        assert t == w
+        assert "".join("(" + encode(c) + ")" for c in children(t)) == w
         per_level = Counter()
         depth = 0
         for ch in w:
@@ -243,40 +237,27 @@ class TestLaneScan:
     @settings(max_examples=60, deadline=None)
     @given(same_size_words())
     def test_lanes_equal_the_per_word_scans(self, words):
-        # past 22 edges a level sum, and past 23 an area, needs 2-byte lanes
-        n = len(words[0]) // 2
-        trees = [decode(w) for w in words]
-        sums = LaneBatch(words, lane_bytes(comb(n + 1, 2)))
-        assert sums.values(level_sum_lanes(sums)) == [level_sum(t) for t in trees]
-        areas = LaneBatch(words, lane_bytes(comb(n, 2)))
-        assert areas.values(area_lanes(areas)) == [area(tree_to_path(t)) for t in trees]
-        counts = level_profile_counts(LaneBatch(words, lane_bytes(n)))
-        assert list(counts.items()) == list(Counter(map(level_profile, trees)).items())
+        # past 22 edges a lane takes 2 bytes
+        batch = LaneBatch(words)
+        assert batch.values(level_sum_lanes(batch)) == [level_sum(w) for w in words]
+        assert batch.values(area_lanes(batch)) == [area(tree_to_path(w)) for w in words]
+        assert list(level_profile_counts(batch).items()) == list(Counter(map(level_profile, words)).items())
 
     def test_width_rule(self):
         assert [lane_bytes(x) for x in (0, 1, 255, 256, 65535, 65536)] == [1, 1, 1, 2, 2, 3]
 
     def test_one_byte_holds_level_sums_through_22_edges(self):
-        batch = LaneBatch([star(22), chain(22)], 1)
-        assert batch.values(level_sum_lanes(batch)) == [22, comb(23, 2)] == [22, 253]
-        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 276"):
-            level_sum_lanes(LaneBatch([chain(23)], 1))
-        batch = LaneBatch([chain(23)], lane_bytes(comb(24, 2)))
-        assert batch.width == 2 and batch.values(level_sum_lanes(batch)) == [276]
+        # a lane holds C(n+1, 2), the chain's level sum: 253 at 22 edges, 276 at 23
+        assert [LaneBatch([star(n), chain(n)]).width for n in (22, 23)] == [1, 2]
 
-    def test_one_byte_holds_areas_through_23_edges(self):
-        batch = LaneBatch([star(23), chain(23)], 1)
-        assert batch.values(area_lanes(batch)) == [comb(23, 2), 0] == [253, 0]
-        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 276"):
-            area_lanes(LaneBatch([star(24)], 1))
-
-    def test_one_byte_holds_profile_counts_through_255_edges(self):
-        assert level_profile_counts(LaneBatch([star(255), chain(255)], 1)) == {(255,): 1, (1,) * 255: 1}
-        with pytest.raises(ValueError, match="a 1-byte lane cannot hold 256"):
-            level_profile_counts(LaneBatch([star(256)], 1))
-        assert level_profile_counts(LaneBatch([star(256)], lane_bytes(256))) == {(256,): 1}
+    @pytest.mark.parametrize("n", [22, 23, 255])
+    def test_scans_of_the_star_and_the_chain(self, n):
+        batch = LaneBatch([star(n), chain(n)])
+        assert batch.values(level_sum_lanes(batch)) == [n, comb(n + 1, 2)]
+        assert batch.values(area_lanes(batch)) == [comb(n, 2), 0]
+        assert level_profile_counts(batch) == {(n,): 1, (1,) * n: 1}
 
     def test_the_bare_root(self):
-        batch = LaneBatch([""], 1)
+        batch = LaneBatch([""])
         assert batch.values(level_sum_lanes(batch)) == batch.values(area_lanes(batch)) == [0]
         assert level_profile_counts(batch) == {(): 1}

@@ -12,7 +12,7 @@ import pytest
 from catfrac import trees, verify
 from catfrac.cli import main
 from catfrac.paths import _trusted_path, area, tree_to_path
-from catfrac.trees import OrderedTree, generate_trees, level_profile, level_sum
+from catfrac.trees import generate_trees, level_profile, level_sum
 from catfrac.verify import CheckResult
 
 from conftest import CHILD_ENV
@@ -192,8 +192,8 @@ class TestEarlyStop:
 
     def test_word_concatenation_reports_a_broken_split(self, monkeypatch):
         # reversed subtrees shift each block past the wrong neighbours
-        real = OrderedTree.children
-        monkeypatch.setattr(OrderedTree, "children", property(lambda t: real.fget(t)[::-1]))
+        real = verify.children
+        monkeypatch.setattr(verify, "children", lambda t: real(t)[::-1])
         result = verify.check_word_concatenation(4)
         assert result.ok is False
         assert result.failures == [
@@ -331,7 +331,7 @@ class TestLaneCensus:
             if formula(n, level_sum(t)) != area(tree_to_path(t))
         )
         assert [line.split(" area=")[0] for line in default.failures] == [
-            f"n={n} tree={t.word!r}" for n, t in list(wrong)[:5]
+            f"n={n} tree={t!r}" for n, t in list(wrong)[:5]
         ]
 
     def test_the_census_scans_stream_past_the_word_cache(self):
@@ -356,8 +356,8 @@ def _doubled(name):
 
 
 def _reversed_children(monkeypatch):
-    real = OrderedTree.children
-    monkeypatch.setattr(OrderedTree, "children", property(lambda t: real.fget(t)[::-1]))
+    real = verify.children
+    monkeypatch.setattr(verify, "children", lambda t: real(t)[::-1])
 
 
 def _reversed_words(monkeypatch):
@@ -479,7 +479,7 @@ class TestCliFailurePath:
         assert summary == "FAIL bijections (checked 6)"
 
     def test_decoder_returning_another_valid_tree_is_a_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "path_to_tree", lambda path: OrderedTree())
+        monkeypatch.setattr(verify, "path_to_tree", lambda path: "")
         broke, summary = self._broken_bijections(capsys, max_edges=2)
         assert broke[0] == "  FAIL n=1 tree='()' path round trip broke"
         assert summary == "FAIL bijections (checked 4)"
