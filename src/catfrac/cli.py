@@ -195,7 +195,7 @@ def _from_tree(kind: str, t: str) -> str:
     if kind == "tree":
         return t
     if kind == "path":
-        return tree_to_path(t).steps
+        return tree_to_path(t)
     return format_perm(tree_to_perm(t))
 
 

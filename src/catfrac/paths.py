@@ -1,13 +1,14 @@
 """Diagonal-bounded lattice paths and the preorder bijection with ordered trees.
 
 A path of semilength n runs from (0,0) to (n,n) in steps E=(1,0) and N=(0,1),
-never rising above the diagonal y = x.  Traversing a tree edge downward emits
-an E step, returning upward emits an N step.
+never rising above the diagonal y = x.  A path is its E/N word: the tree's
+bracket word with E for each descent and N for each ascent.  ``parse_path``
+checks a path from outside the program; ``path_to_tree`` checks via ``decode``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .trees import LaneBatch, decode, generate_trees
 
@@ -21,84 +22,57 @@ class PathParseError(ValueError):
         self.position = position
 
 
-class _Steps(NamedTuple):
-    steps: str
-
-
-class DyckPath(_Steps):
-    """Validated step word over {E, N}: balanced, with every prefix #E >= #N."""
-
-    __slots__ = ()
-
-    def __new__(cls, steps: str):
-        height = 0
-        for pos, ch in enumerate(steps):
-            if ch == "E":
-                height += 1
-            elif ch == "N":
-                height -= 1
-                if height < 0:
-                    raise PathParseError("path rises above the diagonal", pos)
-            else:
-                raise PathParseError(f"unexpected step {ch!r}", pos)
-        if height != 0:
-            raise PathParseError(f"unbalanced path: {height} more E than N steps", len(steps))
-        return super().__new__(cls, steps)
-
-
 _STEP_ALIASES = {"E": "E", "N": "N", "R": "E", "U": "N", "1": "E", "0": "N"}
 
 
-def parse_path(text: str) -> DyckPath:
-    """Parse a step word, accepting the {U,R} and {1,0} aliases for {N,E}.
+def parse_path(text: str) -> str:
+    """The E/N word of a step word, accepting the {U,R} and {1,0} aliases for {N,E}.
 
-    Whitespace between steps is ignored; case is not significant.  An error
-    reports the index in ``text``, or the index just past the last step for
-    an unbalanced end.
+    Whitespace between steps is ignored; case is not significant.  The alphabet
+    is checked over the whole text first, then the diagonal, then the balance.
+    An error reports the index in ``text`` (just past the last step if unbalanced).
     """
-    out = []
+    steps = []
+    height, below = 0, None
     for pos, ch in enumerate(text):
         if ch.isspace():
             continue
         step = _STEP_ALIASES.get(ch.upper())
         if step is None:
             raise PathParseError(f"unexpected step {ch!r}", pos)
-        out.append(step)
-    try:
-        return DyckPath("".join(out))
-    except PathParseError as exc:
-        where = [pos for pos, ch in enumerate(text) if not ch.isspace()]  # text index of each step
-        at = where[exc.position] if exc.position < len(where) else where[-1] + 1
-        raise PathParseError(exc.reason, at) from None
+        steps.append(step)
+        height += 1 if step == "E" else -1
+        if height < 0 and below is None:
+            below = pos  # reported once the whole alphabet has passed
+    if below is not None:
+        raise PathParseError("path rises above the diagonal", below)
+    if height:
+        raise PathParseError(f"unbalanced path: {height} more E than N steps", len(text.rstrip()))
+    return "".join(steps)
 
 
 _TO_STEPS = str.maketrans("()", "EN")
 _TO_BRACKETS = str.maketrans("EN", "()")
 
 
-def _trusted_path(steps: str) -> DyckPath:
-    """A DyckPath on steps that are balanced by construction, without re-validating them."""
-    return tuple.__new__(DyckPath, (steps,))
-
-
-def tree_to_path(t: str) -> DyckPath:
+def tree_to_path(t: str) -> str:
     """Preorder traversal: descent -> E, ascent -> N."""
-    return _trusted_path(t.translate(_TO_STEPS))
+    return t.translate(_TO_STEPS)
 
 
-def path_to_tree(p: DyckPath) -> str:
-    """Inverse of tree_to_path (total on valid paths)."""
-    return decode(p.steps.translate(_TO_BRACKETS))
+def path_to_tree(p: str) -> str:
+    """Inverse of tree_to_path; ``decode`` rejects a word that is not a path."""
+    return decode(p.translate(_TO_BRACKETS))
 
 
-def area(p: DyckPath) -> int:
+def area(p: str) -> int:
     """Unit squares below the path and above the x-axis.
 
     Each E step contributes its height, i.e. the number of N steps before it.
     """
     height = 0
     total = 0
-    for ch in p.steps:
+    for ch in p:
         if ch == "N":
             height += 1
         else:
@@ -115,7 +89,7 @@ def area_lanes(batch: LaneBatch) -> int:
     return total
 
 
-def generate_paths(n: int) -> Iterator[DyckPath]:
+def generate_paths(n: int) -> Iterator[str]:
     """All Dyck paths of semilength n: the tree generator's words, read as steps.
 
     Same order as ``generate_trees`` (first-return factorization word = E u N v).

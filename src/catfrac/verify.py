@@ -64,31 +64,27 @@ class CheckResult:
 
 
 # -- brute-force oracles ----------------------------------------------------
-# Both censuses run ``trees.lane_batches``: every word on n edges, a batch at a
+# ``_census`` scans ``trees.lane_batches``: every word on n edges, a batch at a
 # time, in lanes that ``LaneBatch`` sizes to hold C(n+1, 2), the largest value
 # any scan makes.
 
 
-def area_polynomial(n: int) -> dict[int, int]:
-    """{area: count} over all Dyck paths of semilength n, keys in first-seen order.
-
-    ``paths.area_lanes`` over every batch of words.
-    """
-    poly: Counter[int] = Counter()
+def _census(n: int, scan: Callable) -> dict:
+    """{key: count} that ``scan`` gives over every batch of words on n edges, keys in first-seen order."""
+    census: Counter = Counter()
     for batch in lane_batches(n):
-        poly.update(batch.values(area_lanes(batch)))
-    return dict(poly)
+        census.update(scan(batch))
+    return dict(census)
+
+
+def area_polynomial(n: int) -> dict[int, int]:
+    """{area: count} over all Dyck paths of semilength n: ``paths.area_lanes`` of every batch."""
+    return _census(n, lambda batch: batch.values(area_lanes(batch)))
 
 
 def level_profile_census(n: int) -> dict[tuple[int, ...], int]:
-    """{level profile: trees} over all ordered trees on n edges, keys in first-seen order.
-
-    ``trees.level_profile_counts`` over every batch of words.
-    """
-    census: Counter[tuple[int, ...]] = Counter()
-    for batch in lane_batches(n):
-        census.update(level_profile_counts(batch))
-    return dict(census)
+    """{level profile: trees} over all ordered trees on n edges: ``trees.level_profile_counts``."""
+    return _census(n, level_profile_counts)
 
 
 def area_from_level_sums(n: int, sums: int, ones: int = 1) -> int:

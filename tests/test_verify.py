@@ -11,7 +11,7 @@ import pytest
 
 from catfrac import trees, verify
 from catfrac.cli import main
-from catfrac.paths import _trusted_path, area, tree_to_path
+from catfrac.paths import area, tree_to_path
 from catfrac.trees import generate_trees, level_profile, level_sum
 from catfrac.verify import CheckResult
 
@@ -471,7 +471,7 @@ class TestCliFailurePath:
     def test_path_codec_with_swapped_steps_is_a_counterexample(self, capsys, monkeypatch):
         real = verify.tree_to_path
         swap = str.maketrans("EN", "NE")
-        monkeypatch.setattr(verify, "tree_to_path", lambda t: _trusted_path(real(t).steps.translate(swap)))
+        monkeypatch.setattr(verify, "tree_to_path", lambda t: real(t).translate(swap))
         broke, summary = self._broken_bijections(capsys)
         assert broke[0] == "  FAIL n=1 tree='()' path round trip broke: unmatched ')' at position 0"
         assert len(broke) == 5 and all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
