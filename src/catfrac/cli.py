@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=_positive, default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(run=cmd_verify)
-    p_verify.epilog = f"the avoider-set scan inside 'bijections' is capped at n={verify_mod.PERM_ORACLE_MAX}"
 
     return parser
 

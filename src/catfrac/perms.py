@@ -12,8 +12,9 @@ permutation of 1..n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 PermWord = tuple[int, ...]
 
@@ -68,29 +69,32 @@ def has_132(p: Sequence[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def enumerate_132_avoiders(n: int) -> list[PermWord]:
-    """All (132)-avoiding permutations of 1..n, in lexicographic order.
+def enumerate_132_avoiders(n: int) -> Iterator[PermWord]:
+    """Yield the (132)-avoiding permutations of 1..n, in lexicographic order.
 
     A hereditary prefix search that never touches trees.  Appending b forbids
     every later value between b's prefix minimum and b, and a forbidden value
     still unplaced makes the prefix a dead end.  So a live prefix extends only
     by an unplaced value below its minimum or by the least unplaced value
     above it; every live prefix completes (put the rest in increasing order),
-    and the search visits no dead prefix.
+    and the search visits no dead prefix.  It yields from an explicit stack and
+    holds only that stack: an entry ((prefix, unplaced, low), i) appends
+    unplaced[i] to a prefix whose minimum is low, and unplaced stays sorted.
     """
-    out: list[PermWord] = []
-
-    def extend(prefix: PermWord, unplaced: PermWord, low: int) -> None:
-        if not unplaced:
-            out.append(prefix)
+    prefix, unplaced, low = (), tuple(range(1, n + 1)), n + 1
+    stack: list[tuple[tuple[PermWord, PermWord, int], int]] = []
+    while True:
+        below = bisect_left(unplaced, low)
+        if below:  # popped in increasing order: every value below low, then the least above it
+            node = (prefix, unplaced, low)
+            stack.extend([(node, i) for i in range(min(below, len(unplaced) - 1), -1, -1)])
+        else:  # nothing below low: the rest can only go up
+            yield prefix + unplaced
+        if not stack:
             return
-        for i, v in enumerate(unplaced):
-            extend(prefix + (v,), unplaced[:i] + unplaced[i + 1 :], min(low, v))
-            if v > low:
-                break
-
-    extend((), tuple(range(1, n + 1)), n + 1)
-    return out
+        (prefix, unplaced, low), i = stack.pop()
+        value = unplaced[i]
+        prefix, unplaced, low = prefix + (value,), unplaced[:i] + unplaced[i + 1 :], min(low, value)
 
 
 def count_increasing_by_length(p: Sequence[int], k: int) -> dict[int, int]:

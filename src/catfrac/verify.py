@@ -37,9 +37,6 @@ from .trees import (
 
 _MAX_FAILURES = 5
 
-# The avoider prefix search lists Catalan(n) words; past n = 12 (208 012) it is not desk-scale.
-PERM_ORACLE_MAX = 12
-
 
 class CheckResult:
     """One check's outcome, filled in as its scan runs."""
@@ -277,40 +274,39 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     return _run("pattern-count census vs series", {"max_edges": max_edges, "ks": list(ks)}, unit, ks)
 
 
+def _round_trip(encode, decode, x) -> str | None:
+    """None if ``decode(encode(x)) == x``, else the failure suffix, with a decoder error's text."""
+    try:
+        return None if decode(encode(x)) == x else ""
+    except ValueError as exc:
+        return f": {exc}"
+
+
 def check_bijections(max_edges: int) -> CheckResult:
-    """Round trips tree->path->tree and tree->perm->tree, plus the avoider-set image.
+    """Round trips tree->path->tree on every tree and perm->tree->perm on every avoider.
 
     PASS certifies that ``path_to_tree`` inverts ``tree_to_path``, and that
     ``tree_to_perm`` is a bijection onto the (132)-avoiders with inverse
-    ``perm_to_tree``: the round trips make it one-to-one, and an image equal
-    to the avoider set makes ``perm_to_tree`` its inverse on every avoider,
-    so neither fact is tested again.  A decoder error on its codec's output
-    is a broken round trip, with the error text appended.  A tree counts once,
-    with its path round trip.  The avoider-set comparison is capped at n = PERM_ORACLE_MAX.
+    ``perm_to_tree``: the avoiders, each greater than the one before, are
+    distinct, their round trip makes ``perm_to_tree`` one-to-one on them, and
+    as many avoiders as trees make it onto the trees.  A decoder error on its
+    codec's output is a broken round trip, with the error text appended.  A
+    tree counts once, with its path round trip; an avoider counts nothing.
     """
 
     def unit(n):
-        trees = 0
-        images: set = set()
+        trees, avoiders, last = 0, 0, ()
         for trees, t in enumerate(generate_trees(n), 1):
-            word = tree_to_perm(t)
-            trips = ((1, "path", tree_to_path(t), path_to_tree), (0, "perm", word, perm_to_tree))
-            for count, kind, image, inverse in trips:
-                try:
-                    err = None if inverse(image) == t else ""
-                except ValueError as exc:
-                    err = f": {exc}"
-                yield count, None if err is None else f"n={n} tree={t!r} {kind} round trip broke{err}"
-            if n <= PERM_ORACLE_MAX:
-                images.add(word)
-        if n > PERM_ORACLE_MAX:
-            return f"n={n} trees={trees} (avoider scan skipped)"
-        avoiders = set(enumerate_132_avoiders(n))
-        yield 0, None if images == avoiders else (
-            f"n={n}: image != avoider set; extra={sorted(map(format_perm, images - avoiders))[:3]} "
-            f"missing={sorted(map(format_perm, avoiders - images))[:3]}"
-        )
-        return f"n={n} trees={trees} avoiders={len(avoiders)}"
+            err = _round_trip(tree_to_path, path_to_tree, t)
+            yield 1, None if err is None else f"n={n} tree={t!r} path round trip broke{err}"
+        for avoiders, word in enumerate(enumerate_132_avoiders(n), 1):
+            if avoiders > 1 and word <= last:
+                yield 0, f"n={n} perm={format_perm(word)!r} does not follow {format_perm(last)!r}"
+            err = _round_trip(perm_to_tree, tree_to_perm, word)
+            yield 0, None if err is None else f"n={n} perm={format_perm(word)!r} tree round trip broke{err}"
+            last = word
+        yield 0, None if trees == avoiders else f"n={n}: trees={trees} != avoiders={avoiders}"
+        return f"n={n} trees={trees} avoiders={avoiders}"
 
     return _run("bijection round trips", {"max_edges": max_edges}, unit)
 

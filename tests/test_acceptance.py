@@ -168,7 +168,7 @@ def test_criterion_7_bijection_suite():
             image.add(word)
             if perm_to_tree(word) != t:
                 ok = False
-        avoiders = enumerate_132_avoiders(n)
+        avoiders = list(enumerate_132_avoiders(n))
         ok = ok and len(image) == count == CATALAN_LITERALS[n]
         ok = ok and image == set(avoiders)
         for word in avoiders:

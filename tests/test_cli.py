@@ -727,6 +727,7 @@ import contextlib, io, sys
 from math import comb
 from catfrac import cli
 from catfrac.paths import parse_path, path_to_tree
+from catfrac.perms import enumerate_132_avoiders
 from catfrac.trees import binom_level_sum, children, decode, generate_trees, level_profile, level_sum
 
 n = 10_000
@@ -755,6 +756,7 @@ assert level_sum(chain) == comb(n + 1, 2)
 assert binom_level_sum(chain, 3) == comb(n, 3)
 first = [t for _, t in zip(range(3), generate_trees(n))]
 assert first == ["()" * n, "()" * (n - 2) + "(())", "()" * (n - 3) + "(())()"], [w[-12:] for w in first]
+assert next(enumerate_132_avoiders(5000)) == tuple(range(1, 5001))
 """
 
 

@@ -183,7 +183,7 @@ class TestAvoiderEnumeration:
     def test_counts_follow_catalan(self):
         table = catalan_table(8)
         for n in range(9):
-            assert len(enumerate_132_avoiders(n)) == table[n]
+            assert len(list(enumerate_132_avoiders(n))) == table[n]
 
     def test_image_equals_avoider_set(self):
         for n in range(9):
@@ -199,7 +199,7 @@ class TestAvoiderEnumeration:
 
     def test_prefix_search_lists_the_filter_oracle_exactly(self):
         for n in range(10):
-            assert enumerate_132_avoiders(n) == avoiders_by_filter(n), n
+            assert list(enumerate_132_avoiders(n)) == avoiders_by_filter(n), n
 
 
 class TestTreePatternStatistics:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from catfrac import trees, verify
+from catfrac import perms, trees, verify
 from catfrac.cli import main
 from catfrac.paths import area, tree_to_path
 from catfrac.trees import generate_trees, level_profile, level_sum
@@ -110,12 +110,6 @@ class TestCheckResult:
             result.ok = False
         result.failures.append("c0")
         assert result.ok is False
-
-    def test_bijections_skips_avoider_scan_past_cap(self, monkeypatch):
-        monkeypatch.setattr(verify, "PERM_ORACLE_MAX", 3)
-        result = verify.check_bijections(5)
-        assert result.ok
-        assert any("avoider scan skipped" in line for line in result.detail_lines)
 
 
 class TestEarlyStop:
@@ -279,7 +273,7 @@ class TestEarlyStop:
         result = verify.check_bijections(8)
         assert result.ok is False
         assert [f.split(":")[0] for f in result.failures] == ["n=0", "n=1", "n=2", "n=3", "n=4"]
-        assert result.failures[2] == "n=2: image != avoider set; extra=['1 2', '2 1'] missing=[]"
+        assert result.failures[2] == "n=2: trees=2 != avoiders=0"
         assert result.checked == 1 + 1 + 2 + 5 + 14
         assert len(result.detail_lines) == 4
 
@@ -345,6 +339,48 @@ class TestLaneCensus:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
+
+
+class TestBijectionCertificate:
+    """Each part of the bijections certificate catches its own fault, and the check holds no set of words."""
+
+    @pytest.mark.parametrize(
+        "edit, failures",
+        [
+            (lambda words: words[:-1], ["n=3: trees=5 != avoiders=4"]),
+            # a repeat in place of a word keeps the count: only the order check sees it
+            (lambda words: words[:2] + words[1:2] + words[3:], ["n=3 perm='2 1 3' does not follow '2 1 3'"]),
+            (lambda words: words[:1] + words[2:0:-1] + words[3:], ["n=3 perm='2 1 3' does not follow '2 3 1'"]),
+        ],
+        ids=["drops-the-last", "repeats-one", "out-of-order"],
+    )
+    def test_a_broken_avoider_search_is_a_counterexample(self, monkeypatch, edit, failures):
+        # only the avoiders of length 3 pass through the edit
+        real = verify.enumerate_132_avoiders
+        monkeypatch.setattr(verify, "enumerate_132_avoiders", lambda n: edit(list(real(n))) if n == 3 else real(n))
+        result = verify.check_bijections(4)
+        assert result.failures == failures
+        assert result.checked == 1 + 1 + 2 + 5 + 14
+        assert len(result.detail_lines) == 5
+
+    def test_a_decoder_that_rejects_every_avoider_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr(perms, "has_132", lambda p: (1, 2, 3))
+        result = verify.check_bijections(2)
+        witness = "word contains a (132) pattern at positions (i, j, k) = (1, 2, 3)"
+        words = [(0, ""), (1, "1"), (2, "1 2"), (2, "2 1")]
+        assert result.failures == [f"n={n} perm={word!r} tree round trip broke: {witness}" for n, word in words]
+        assert result.detail_lines == ["n=0 trees=1 avoiders=1", "n=1 trees=1 avoiders=1", "n=2 trees=2 avoiders=2"]
+
+    def test_the_check_streams_both_sides(self):
+        for _ in generate_trees(trees._CACHE_MAX):  # fills the shared word cache first
+            pass
+        tracemalloc.start()
+        try:
+            assert verify.check_bijections(10).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _doubled(name):
@@ -465,8 +501,8 @@ class TestCliFailurePath:
         real = verify.tree_to_perm
         monkeypatch.setattr(verify, "tree_to_perm", lambda t: tuple(x - 1 for x in real(t)))
         broke, _ = self._broken_bijections(capsys)
-        assert broke[0] == "  FAIL n=1 tree='()' perm round trip broke: not a permutation of 1..1: [0]"
-        assert all(line.startswith("  FAIL n=") and " tree=" in line for line in broke)
+        assert broke[0] == "  FAIL n=1 perm='1' tree round trip broke"
+        assert all(line.startswith("  FAIL n=") and " perm=" in line for line in broke)
 
     def test_path_codec_with_swapped_steps_is_a_counterexample(self, capsys, monkeypatch):
         real = verify.tree_to_path
