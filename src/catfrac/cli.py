@@ -126,8 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an exhaustive cross-check")
     p_verify.add_argument("--check", choices=sorted(verify_mod.CHECKS), required=True)
-    p_verify.add_argument("--max-edges", type=_int, default=None)
-    p_verify.add_argument("--k", type=_positive, default=None)
+    p_verify.add_argument("--max-edges", type=_int, help="largest n checked (default set per check)")
+    p_verify.add_argument(
+        "--k",
+        type=_positive,
+        help="every k up to K for lemma4 (default 4) and theorem5 (default 5); only K for corollary6 (default 2, 3, 4)",
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(run=cmd_verify)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .trees import LaneBatch, decode, generate_trees
+from .trees import decode, generate_trees
 
 
 class PathParseError(ValueError):
@@ -77,15 +77,6 @@ def area(p: str) -> int:
             height += 1
         else:
             total += height
-    return total
-
-
-def area_lanes(batch: LaneBatch) -> int:
-    """``area`` of every word in the batch read as a path, one per lane: the N steps before each E added up."""
-    downs = total = 0
-    for up, rises in batch.columns():
-        downs += batch.ones - up
-        total += downs & rises
     return total
 
 

@@ -117,12 +117,8 @@ class TruncSeries:
         out: dict[Monomial, int] = {}
         for za, terms_a in self._by_z.items():
             for zb, terms_b in other._by_z.items():
-                if za + zb > order:
-                    continue
-                for ma, ca in terms_a.items():
-                    for mb, cb in terms_b.items():
-                        m = ma.times(mb)
-                        out[m] = out.get(m, 0) + ca * cb
+                if za + zb <= order:
+                    _add_products(out, terms_a, terms_b)
         return TruncSeries(order, out)
 
     def geom_inverse(self) -> "TruncSeries":
@@ -143,12 +139,8 @@ class TruncSeries:
             acc: dict[Monomial, int] = {}
             for j, terms_j in self._by_z.items():
                 r_part = r_by_z.get(d - j)
-                if not r_part:
-                    continue
-                for ms, cs in terms_j.items():
-                    for mr, cr in r_part.items():
-                        m = ms.times(mr)
-                        acc[m] = acc.get(m, 0) + cs * cr
+                if r_part:
+                    _add_products(acc, terms_j, r_part)
             acc = {m: c for m, c in acc.items() if c}
             if acc:
                 r_by_z[d] = acc
@@ -181,6 +173,14 @@ class TruncSeries:
             {"z": m.z_deg, "q": m.q_deg, "v": list(m.v_degs), "coeff": str(c)}
             for m, c in self.terms()
         ]
+
+
+def _add_products(acc: dict[Monomial, int], terms_a: Mapping[Monomial, int], terms_b: Mapping[Monomial, int]) -> None:
+    """Add the product of every term of ``terms_a`` with every term of ``terms_b`` into ``acc``."""
+    for ma, ca in terms_a.items():
+        for mb, cb in terms_b.items():
+            m = ma.times(mb)
+            acc[m] = acc.get(m, 0) + ca * cb
 
 
 def _render_poly(terms: list[tuple[Monomial, int]]) -> str:

@@ -37,16 +37,18 @@ _cache: dict[int, tuple[str, ...]] = {0: ("",)}
 
 
 def _words(n: int) -> Iterable[str]:
-    """Words of every tree on n edges by first return, "(" + u + ")" + v."""
+    """Words of every tree on n edges by ``_first_return``; sizes up to the cache are kept."""
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
     if n > _CACHE_MAX:
-        return _streamed_words(n)
+        return _first_return(n)
     if n not in _cache:
-        _cache[n] = tuple(f"({u}){v}" for i in range(n) for u in _words(i) for v in _words(n - 1 - i))
+        _cache[n] = tuple(_first_return(n))
     return _cache[n]
 
 
-def _streamed_words(n: int) -> Iterator[str]:
-    """``_words(n)`` for n above the cache, in the same order, with no recursion on n.
+def _first_return(n: int) -> Iterator[str]:
+    """Every word on n >= 1 edges by first return, "(" + u + ")" + v, with no recursion on n.
 
     A stack holds the root blocks "(" + u + ")" that leave over ``_CACHE_MAX``
     edges: [edges left, remaining choices (i, u), block]; the rest is cached.
@@ -64,7 +66,7 @@ def _streamed_words(n: int) -> Iterator[str]:
             continue
         stack.pop()
         head = "".join(block for _, _, block in stack)
-        for i in range(left - 1 - _CACHE_MAX, left):
+        for i in range(max(0, left - 1 - _CACHE_MAX), left):
             for u in _words(i):
                 block = f"{head}({u})"
                 for v in _words(left - 1 - i):
@@ -79,8 +81,6 @@ def generate_trees(n: int) -> Iterator[str]:
     stable across calls.  Sizes above the internal cache are streamed, so the
     full list is never materialized.
     """
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
     yield from _words(n)
 
 
@@ -166,12 +166,7 @@ class LaneBatch:
 
 
 def lane_batches(n: int) -> Iterator[LaneBatch]:
-    """The words on n edges in generation order, ``LANE_BATCH`` at a time.
-
-    A size past the word cache streams, so it is never held whole.
-    """
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
+    """The words on n edges in generation order, ``LANE_BATCH`` at a time; a size past the cache streams."""
     words = iter(_words(n))
     while batch := tuple(islice(words, LANE_BATCH)):
         yield LaneBatch(batch)
@@ -183,6 +178,15 @@ def level_sum_lanes(batch: LaneBatch) -> int:
     for up, rises in batch.columns():
         depth += (up << 1) - batch.ones
         total += depth & rises
+    return total
+
+
+def area_lanes(batch: LaneBatch) -> int:
+    """``paths.area`` of every word in the batch, one per lane: the ascents ")" before each "(" added up."""
+    downs = total = 0
+    for up, rises in batch.columns():
+        downs += batch.ones - up
+        total += downs & rises
     return total
 
 

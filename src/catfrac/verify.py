@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable
 
 from .contfrac import LevelWeights, eval_cf
-from .paths import area_lanes, path_to_tree, tree_to_path
+from .paths import path_to_tree, tree_to_path
 from .perms import (
     count_increasing_by_length,
     enumerate_132_avoiders,
@@ -26,6 +26,7 @@ from .perms import (
 )
 from .series import TruncSeries
 from .trees import (
+    area_lanes,
     binom_profile_sum,
     children,
     generate_trees,
@@ -60,10 +61,7 @@ class CheckResult:
         return len(self.failures) < _MAX_FAILURES
 
 
-# -- brute-force oracles ----------------------------------------------------
-# ``_census`` scans ``trees.lane_batches``: every word on n edges, a batch at a
-# time, in lanes that ``LaneBatch`` sizes to hold C(n+1, 2), the largest value
-# any scan makes.
+# -- brute-force oracles: lane scans of ``trees.lane_batches`` ----------------
 
 
 def _census(n: int, scan: Callable) -> dict:
@@ -75,7 +73,7 @@ def _census(n: int, scan: Callable) -> dict:
 
 
 def area_polynomial(n: int) -> dict[int, int]:
-    """{area: count} over all Dyck paths of semilength n: ``paths.area_lanes`` of every batch."""
+    """{area: count} over all Dyck paths of semilength n: ``trees.area_lanes`` of every batch."""
     return _census(n, lambda batch: batch.values(area_lanes(batch)))
 
 

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catfrac.paths import area, area_lanes, parse_path, path_to_tree, tree_to_path
+from catfrac.paths import area, parse_path, path_to_tree, tree_to_path
 from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
     LaneBatch,
     TreeParseError,
+    area_lanes,
     binom_level_sum,
     children,
     decode,
     encode,
     generate_trees,
+    lane_batches,
     lane_bytes,
     level_profile,
     level_profile_counts,
@@ -61,13 +63,16 @@ class TestGeneration:
         table = catalan_table(12)
         assert sum(1 for _ in generate_trees(12)) == table[12]
 
-    @pytest.mark.parametrize("n", [12, 13])
+    # one generator builds the cached sizes (n <= 11) and streams the rest
+    @pytest.mark.parametrize("n", range(14))
     def test_streamed_sizes_keep_the_first_return_order(self, n):
         assert list(generate_trees(n)) == first_return_words(n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             list(generate_trees(-1))
+        with pytest.raises(ValueError, match="edge count must be nonnegative"):
+            list(lane_batches(-1))
 
 
 class TestLevelProfile:
