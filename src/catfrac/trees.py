@@ -9,9 +9,10 @@ stream of descents '(' and ascents ')', and a tree on n edges has length 2n.
 The generator builds words, ``decode`` is the one check that a text is a
 tree, and every codec and statistic in the package is a scan of the word.
 Nothing recurses on a tree's depth, so trees of any depth work.  The censuses
-also scan words a batch at a time: ``LaneBatch`` packs one lane of bytes per
-word into big ints, so each bracket position steps every word of the batch at
-once.
+also scan words a batch at a time: ``LaneBatch`` packs one byte-wide lane per
+word into big ints, one per bracket position, built once per batch, so each
+position steps every word of the batch at once.  It refuses words past
+``LANE_MAX_EDGES`` edges.
 """
 
 from __future__ import annotations
@@ -115,54 +116,38 @@ def level_sum(t: str) -> int:
 
 # Words per lane batch: fewer Python steps per tree as it grows, more memory held.
 LANE_BATCH = 4096
+# A lane is one byte: past this many edges the chain's level sum, C(n+1, 2), passes 255.
+LANE_MAX_EDGES = 22
 _BITS = bytes.maketrans(b"()", b"\x01\x00")
 
 
-def lane_bytes(largest: int) -> int:
-    """Bytes per lane for values 0..largest."""
-    return max(1, (largest.bit_length() + 7) // 8)
-
-
 class LaneBatch:
-    """Equal-length words read column by column, one ``width``-byte lane per word.
+    """Equal-length words read column by column, one byte-wide lane per word.
 
-    Lane j of an int is its bytes j*width .. (j+1)*width - 1, little-endian,
-    and belongs to ``words[j]``.  Column i holds 1 in lane j where word j has
-    "(" at position i and 0 where it has ")"; ``ones`` holds 1 in every lane.
-    A few big-int operations per column then step every word at once.  A lane
-    holds C(n+1, 2), the chain's level sum, which bounds every value a scan
-    makes: level sums, areas (at most C(n, 2)), depths and profile counts (at
-    most n).  So no lane carries into the next, and through 22 edges a lane is
-    one byte.
+    Lane j of an int is its byte j, and belongs to ``words[j]``.  Column i,
+    ``columns[i]``, holds 1 in lane j where word j has "(" at position i and
+    0 where it has ")"; ``ones`` holds 1 in every lane.  A few big-int
+    operations per column then step every word at once.  The chain's level
+    sum C(n+1, 2) bounds every value a scan makes: level sums, areas (at
+    most C(n, 2)), depths and profile counts (at most n).  Through
+    ``LANE_MAX_EDGES`` it fits a byte, so no lane carries into the next;
+    longer words are refused.
     """
 
-    __slots__ = ("words", "n", "width", "ones", "_bits")
+    __slots__ = ("words", "n", "ones", "columns")
 
     def __init__(self, words: Sequence[str]):
         self.words = words
-        self.n = len(words[0]) // 2
-        self.width = width = lane_bytes(comb(self.n + 1, 2))
-        self._bits = "".join(words).encode().translate(_BITS)
-        self.ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * len(words), "little")
-
-    def columns(self) -> Iterator[tuple[int, int]]:
-        """(column, mask) for position 0, 1, ..., made one at a time.
-
-        The mask is all ones across every lane whose word has "(" there.
-        """
-        size, lane = 2 * self.n, 8 * self.width
-        spread = bytearray(len(self.words) * self.width)
-        for i in range(size):
-            spread[:: self.width] = self._bits[i::size]
-            up = int.from_bytes(spread, "little")
-            yield up, (up << lane) - up
+        self.n = n = len(words[0]) // 2
+        if n > LANE_MAX_EDGES:
+            raise ValueError(f"lane scan takes words of at most {LANE_MAX_EDGES} edges, not {n}")
+        bits = "".join(words).encode().translate(_BITS)
+        self.ones = int.from_bytes(b"\x01" * len(words), "little")
+        self.columns = [int.from_bytes(bits[i :: 2 * n], "little") for i in range(2 * n)]
 
     def values(self, lanes: int) -> list[int]:
         """The value in each lane of ``lanes``, in word order."""
-        data = lanes.to_bytes(len(self.words) * self.width, "little")
-        if self.width == 1:
-            return list(data)
-        return [int.from_bytes(data[i : i + self.width], "little") for i in range(0, len(data), self.width)]
+        return list(lanes.to_bytes(len(self.words), "little"))
 
 
 def lane_batches(n: int) -> Iterator[LaneBatch]:
@@ -175,18 +160,18 @@ def lane_batches(n: int) -> Iterator[LaneBatch]:
 def level_sum_lanes(batch: LaneBatch) -> int:
     """``level_sum`` of every word in the batch, one per lane: the depth at each "(" added up."""
     depth = total = 0
-    for up, rises in batch.columns():
+    for up in batch.columns:
         depth += (up << 1) - batch.ones
-        total += depth & rises
+        total += depth & ((up << 8) - up)
     return total
 
 
 def area_lanes(batch: LaneBatch) -> int:
     """``paths.area`` of every word in the batch, one per lane: the ascents ")" before each "(" added up."""
     downs = total = 0
-    for up, rises in batch.columns():
+    for up in batch.columns:
         downs += batch.ones - up
-        total += downs & rises
+        total += downs & ((up << 8) - up)
     return total
 
 
@@ -201,7 +186,7 @@ def level_profile_counts(batch: LaneBatch) -> Counter[tuple[int, ...]]:
     """
     n = batch.n
     at, levels = [batch.ones] + [0] * n, [0] * (n + 1)
-    for up, _ in batch.columns():
+    for up in batch.columns:
         down = batch.ones ^ up
         rising = [lanes & up for lanes in at[:-1]]
         at = [lower | (higher & down) for lower, higher in zip([0] + rising, at[1:] + [0])]

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,12 @@ class TestCostGuard:
         assert run_cli(capsys, "verify", "--check", "lemma2", "--max-edges", "16")[0] == 0
         assert run_cli(capsys, "verify", "--check", "lemma2", "--max-edges", "17")[0] == 2
         assert bounds == [16]
+
+    def test_every_admitted_bound_fits_a_one_byte_lane(self):
+        # the census checks scan lanes of one byte, which hold the chain's level sum C(n+1, 2) through 255
+        catalan = catalan_table(40)
+        n = max(m for m in range(40) if sum(catalan[: m + 1]) <= cli.MAX_TREES)
+        assert comb(n + 1, 2) <= 255
 
 
 class TestCountGuard:

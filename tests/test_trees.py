@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catfrac.paths import area, parse_path, path_to_tree, tree_to_path
 from catfrac.perms import perm_to_tree, tree_to_perm
 from catfrac.trees import (
+    LANE_MAX_EDGES,
     LaneBatch,
     TreeParseError,
     area_lanes,
@@ -17,7 +18,6 @@ from catfrac.trees import (
     encode,
     generate_trees,
     lane_batches,
-    lane_bytes,
     level_profile,
     level_profile_counts,
     level_sum,
@@ -224,7 +224,7 @@ class TestRandomDeepWords:
 
 
 @st.composite
-def same_size_words(draw, max_edges=60):
+def same_size_words(draw, max_edges=LANE_MAX_EDGES):
     """1 to 8 random bracket words, all on the same number of edges."""
     n = draw(st.integers(min_value=0, max_value=max_edges))
     return draw(st.lists(random_dyck_words(n, min_edges=n), min_size=1, max_size=8))
@@ -242,20 +242,22 @@ class TestLaneScan:
     @settings(max_examples=60, deadline=None)
     @given(same_size_words())
     def test_lanes_equal_the_per_word_scans(self, words):
-        # past 22 edges a lane takes 2 bytes
         batch = LaneBatch(words)
         assert batch.values(level_sum_lanes(batch)) == [level_sum(w) for w in words]
         assert batch.values(area_lanes(batch)) == [area(tree_to_path(w)) for w in words]
         assert list(level_profile_counts(batch).items()) == list(Counter(map(level_profile, words)).items())
 
-    def test_width_rule(self):
-        assert [lane_bytes(x) for x in (0, 1, 255, 256, 65535, 65536)] == [1, 1, 1, 2, 2, 3]
+    def test_a_22_edge_chain_reads_back_its_level_sum(self):
+        # C(23, 2) = 253, the largest level sum a one-byte lane holds
+        batch = LaneBatch([chain(22)])
+        assert batch.values(level_sum_lanes(batch)) == [253]
 
-    def test_one_byte_holds_level_sums_through_22_edges(self):
-        # a lane holds C(n+1, 2), the chain's level sum: 253 at 22 edges, 276 at 23
-        assert [LaneBatch([star(n), chain(n)]).width for n in (22, 23)] == [1, 2]
+    def test_a_23_edge_word_is_refused(self):
+        # its chain's level sum C(24, 2) = 276 would carry into the next lane
+        with pytest.raises(ValueError, match="at most 22 edges, not 23"):
+            LaneBatch([chain(23)])
 
-    @pytest.mark.parametrize("n", [22, 23, 255])
+    @pytest.mark.parametrize("n", [2, 16, 22])
     def test_scans_of_the_star_and_the_chain(self, n):
         batch = LaneBatch([star(n), chain(n)])
         assert batch.values(level_sum_lanes(batch)) == [n, comb(n + 1, 2)]
