@@ -37,17 +37,8 @@ class Monomial(NamedTuple):
     v_degs: tuple[int, ...] = ()
 
     def times(self, other: "Monomial") -> "Monomial":
-        va, vb = self.v_degs, other.v_degs
-        if not vb:
-            v = va
-        elif not va:
-            v = vb
-        else:
-            v = tuple(a + b for a, b in zip_longest(va, vb, fillvalue=0))
+        v = tuple(a + b for a, b in zip_longest(self.v_degs, other.v_degs, fillvalue=0))
         return Monomial(self.z_deg + other.z_deg, self.q_deg + other.q_deg, v)
-
-
-_ONE = Monomial(0, 0, ())
 
 
 class TruncSeries:
@@ -95,56 +86,45 @@ class TruncSeries:
             return NotImplemented
         return self.order_z == other.order_z and self._by_z == other._by_z
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"TruncSeries(order_z={self.order_z}, {self})"
 
     # -- ring operations --------------------------------------------------
 
-    def _check_compat(self, other: "TruncSeries") -> None:
+    def mul(self, other: "TruncSeries") -> "TruncSeries":
+        """Convolution product; the constructor discards z-degrees beyond the order."""
         if not isinstance(other, TruncSeries):
             raise TypeError(f"expected TruncSeries, got {type(other).__name__}")
         if self.order_z != other.order_z:
             raise ValueError(
                 f"mismatched truncation orders {self.order_z} and {other.order_z}"
             )
-
-    def mul(self, other: "TruncSeries") -> "TruncSeries":
-        """Convolution product; z-degrees beyond the order are discarded."""
-        self._check_compat(other)
-        order = self.order_z
         out: dict[Monomial, int] = {}
-        for za, terms_a in self._by_z.items():
-            for zb, terms_b in other._by_z.items():
-                if za + zb <= order:
-                    _add_products(out, terms_a, terms_b)
-        return TruncSeries(order, out)
+        for terms_a in self._by_z.values():
+            for terms_b in other._by_z.values():
+                _add_products(out, terms_a, terms_b)
+        return TruncSeries(self.order_z, out)
 
     def geom_inverse(self) -> "TruncSeries":
         """1/(1 - self) as the geometric series 1 + self + self^2 + ...
 
         Requires every term to carry at least one z (zero constant term),
         which makes the expansion terminate at the truncation order.
-        Computed by the graded recurrence r = 1 + self*r, degree by degree.
+        Computed by the graded recurrence r = 1 + self*r, degree by degree;
+        the constructor drops the coefficients that cancel to zero.
         """
         if 0 in self._by_z:
             raise ValueError(
                 "geometric inverse needs a series with zero constant term; "
                 f"found a z-degree-0 term {next(iter(self._by_z[0]))}"
             )
-        order = self.order_z
-        r_by_z: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
-        for d in range(1, order + 1):
-            acc: dict[Monomial, int] = {}
+        r_by_z: dict[int, dict[Monomial, int]] = {0: {Monomial(0, 0): 1}}
+        for d in range(1, self.order_z + 1):
+            r_by_z[d] = acc = {}
             for j, terms_j in self._by_z.items():
-                r_part = r_by_z.get(d - j)
-                if r_part:
-                    _add_products(acc, terms_j, r_part)
-            acc = {m: c for m, c in acc.items() if c}
-            if acc:
-                r_by_z[d] = acc
-        return TruncSeries(order, {m: c for part in r_by_z.values() for m, c in part.items()})
+                if j <= d:
+                    _add_products(acc, terms_j, r_by_z[d - j])
+        return TruncSeries(self.order_z, {m: c for part in r_by_z.values() for m, c in part.items()})
 
     # -- rendering ---------------------------------------------------------
 

@@ -46,6 +46,7 @@ class TestMonomial:
         # no normalising: a caller who builds a monomial strips trailing zeros itself
         assert Monomial(1, 0, (1, 0)).v_degs == (1, 0)
         assert Monomial(1, 0, (1, 0)) != Monomial(1, 0, (1,))
+        assert Monomial(1, 0, (1, 0)).times(Monomial(1, 2)) == Monomial(2, 2, (1, 0))
 
 
 class TestMul:
@@ -60,10 +61,16 @@ class TestMul:
         one_plus_z = series(2, {(0, 0): 1, (1, 0): 1})
         one_minus_z = series(2, {(0, 0): 1, (1, 0): -1})
         assert one_plus_z.mul(one_minus_z) == series(2, {(0, 0): 1, (2, 0): -1})
+        # every product term lands past the order
+        assert series(2, {(2, 0): 1}).mul(series(2, {(1, 0): 1})) == TruncSeries(2)
 
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
             series(3, {(1, 0): 1}).mul(series(2, {(1, 0): 1}))
+
+    def test_non_series_operand_rejected(self):
+        with pytest.raises(TypeError, match="^expected TruncSeries, got int$"):
+            series(3, {(1, 0): 1}).mul(3)
 
 
 class TestGeomInverse:
@@ -77,6 +84,11 @@ class TestGeomInverse:
     def test_geometric_series_in_zq(self):
         s = series(3, {(1, 1): 1})
         assert s.geom_inverse() == series(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
+
+    def test_cancelled_degree_is_dropped(self):
+        # r_2 = z*z - z^2 = 0, so no z^2 group appears
+        s = series(4, {(1, 0): 1, (2, 0): -1})
+        assert str(s.geom_inverse()) == "1 + z*(1) + z^3*(-1) + z^4*(-1)"
 
     def test_rejects_constant_term(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -205,6 +217,10 @@ class TestImmutability:
         s = one(2)
         with pytest.raises(AttributeError):
             s.order_z = 5
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(TruncSeries(3))
 
     def test_terms_accessor_returns_copy(self):
         s = series(2, {(1, 0): 1})
