@@ -16,9 +16,9 @@ Every weight carries exactly one z (one edge), so a truncation at z-order N
 only ever sees the first N levels: evaluating at depth >= order is exact.
 The path DP in ``eval_cf`` keeps one running cell per row of z-degree,
 walked from the top height down to the row's finished z-slice, and the same
-bound lets it pack each monomial's q- and v-exponents into one integer key
-whose digits cannot carry, so the DP adds ints and builds a ``Monomial``
-only when a slice is finished.
+bound lets it pack each monomial's q- and v-exponents as the digits of one
+integer key in one base, large enough that no digit carries, so the DP adds
+ints and builds a ``Monomial`` only when a slice is finished.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     d+1, and at h = 0 it is the z^d slice.
 
     A cell maps a packed exponent to its coefficient.  The key of
-    q^a * v1^b1 * v2^b2 * ... is a + Q*(b1 + b2*V + b3*V^2 + ...); an
-    up-step to level l adds the fixed key of w_l.  A path takes at most
-    order_z up-steps, so its q-degree stays below Q = order_z*max_q + 1 and
-    each v-degree below V = order_z*max_v + 1 (max over the weights looked
-    up): no digit carries, and every key unpacks to one monomial.
+    q^a * v1^b1 * v2^b2 * ... is a + b1*B + b2*B^2 + ..., one digit per
+    exponent; an up-step to level l adds the fixed key of w_l.  A path takes
+    at most order_z up-steps, so no exponent reaches B = order_z*e + 1 (e the
+    largest exponent of the weights looked up): no digit carries, and every
+    key unpacks to one monomial.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -92,9 +92,8 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
         raise ValueError("order_z must be nonnegative")
     top = min(depth, order_z)
     ups = [weights.weight(level) for level in range(1, top + 1)]
-    q_base = order_z * max((w.q_deg for w in ups), default=0) + 1
-    v_base = order_z * max((max(w.v_degs, default=0) for w in ups), default=0) + 1
-    steps = [w.q_deg + q_base * sum(b * v_base**i for i, b in enumerate(w.v_degs)) for w in ups]
+    base = order_z * max((e for w in ups for e in (w.q_deg, *w.v_degs)), default=0) + 1
+    steps = [sum(e * base**i for i, e in enumerate((w.q_deg, *w.v_degs))) for w in ups]
     out: dict[Monomial, int] = {}
     arrivals: dict[int, dict[int, int]] = {0: {0: 1}}
     for d in range(order_z + 1):
@@ -107,10 +106,10 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
                 step = steps[h]
                 nxt[h + 1] = {key + step: c for key, c in cell.items()}
         for key, c in cell.items():
-            rest, q = divmod(key, q_base)
+            rest, q = divmod(key, base)
             v = []
             while rest:
-                rest, b = divmod(rest, v_base)
+                rest, b = divmod(rest, base)
                 v.append(b)
             out[Monomial(d, q, tuple(v))] = c
         arrivals = nxt

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .trees import decode, generate_trees
+from .trees import TreeParseError, decode, generate_trees
 
 
-class PathParseError(ValueError):
+class PathParseError(TreeParseError):
     """Step word rejected; carries the index of the offending prefix."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at step {position}")
-        self.reason = message
-        self.position = position
+    unit = "step"
 
 
 _STEP_ALIASES = {"E": "E", "N": "N", "R": "E", "U": "N", "1": "E", "0": "N"}

@@ -26,7 +26,7 @@ class Monomial(NamedTuple):
     ``v_degs`` is stored as given, and monomials compare as tuples, so
     ``(1, 0)`` and ``(1,)`` differ.  Every monomial the package builds has
     no trailing zero (those of ``eval_cf``, ``LevelWeights.weight`` and
-    ``times`` of such monomials); a caller who builds one strips it too.
+    products of such monomials); a caller who builds one strips it too.
     When ``v_degs`` is nonempty the z-degree equals ``sum(v_degs)``: each
     level variable carries one edge.  Tuple ordering gives the canonical
     sort (z_deg, then q_deg, then v_degs lexicographically) for free.
@@ -35,10 +35,6 @@ class Monomial(NamedTuple):
     z_deg: int
     q_deg: int
     v_degs: tuple[int, ...] = ()
-
-    def times(self, other: "Monomial") -> "Monomial":
-        v = tuple(a + b for a, b in zip_longest(self.v_degs, other.v_degs, fillvalue=0))
-        return Monomial(self.z_deg + other.z_deg, self.q_deg + other.q_deg, v)
 
 
 class TruncSeries:
@@ -159,7 +155,8 @@ def _add_products(acc: dict[Monomial, int], terms_a: Mapping[Monomial, int], ter
     """Add the product of every term of ``terms_a`` with every term of ``terms_b`` into ``acc``."""
     for ma, ca in terms_a.items():
         for mb, cb in terms_b.items():
-            m = ma.times(mb)
+            v = tuple(a + b for a, b in zip_longest(ma.v_degs, mb.v_degs, fillvalue=0))
+            m = Monomial(ma.z_deg + mb.z_deg, ma.q_deg + mb.q_deg, v)
             acc[m] = acc.get(m, 0) + ca * cb
 
 

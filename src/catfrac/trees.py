@@ -26,8 +26,10 @@ from typing import Iterable, Iterator, Sequence
 class TreeParseError(ValueError):
     """Balanced-parentheses input rejected; carries the offending position."""
 
+    unit = "position"
+
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
+        super().__init__(f"{message} at {self.unit} {position}")
         self.reason = message
         self.position = position
 
@@ -49,10 +51,10 @@ def _words(n: int) -> Iterable[str]:
 
 
 def _first_return(n: int) -> Iterator[str]:
-    """Every word on n >= 1 edges by first return, "(" + u + ")" + v, with no recursion on n.
+    """Every word on n >= 1 edges by first return, "(" + u + ")" + v; nothing recurses on tree depth.
 
-    A stack holds the root blocks "(" + u + ")" that leave over ``_CACHE_MAX``
-    edges: [edges left, remaining choices (i, u), block]; the rest is cached.
+    A stack holds the root blocks that leave over ``_CACHE_MAX`` edges: [edges left, choices (i, u),
+    block]; a first subtree past the cache comes from a nested ``_first_return`` (n - 11 deep at most).
     """
     def entry(left: int) -> list:
         return [left, ((i, u) for i in range(left - 1 - _CACHE_MAX) for u in _words(i)), ""]

@@ -174,6 +174,23 @@ class TestPackedExponents:
         assert coeff(s, level_monomial(*(1,) * order)) == 1
 
 
+class _QAndLevelWeights:
+    """Duck-typed weights whose monomials carry a q- and a v-exponent: z*q^(l%4)*v_l^(l%2+1)."""
+
+    def weight(self, level):
+        return Monomial(1, level % 4, (0,) * (level - 1) + (level % 2 + 1,))
+
+
+class TestOneBaseKey:
+    """q is digit 0 and each v_l a higher digit of one base, so q and v exponents must not mix."""
+
+    @pytest.mark.parametrize("order", range(10))
+    def test_q_and_level_exponents_match_the_reference(self, order):
+        weights = _QAndLevelWeights()
+        for depth in sorted({1, 2, max(order, 1), order + 3}):
+            assert eval_cf(weights, depth, order) == reference_eval_cf(weights, depth, order), depth
+
+
 class TestStability:
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))

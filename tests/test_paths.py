@@ -61,6 +61,19 @@ class TestDyckPath:
             parse_path("EEN  ")
         assert str(info.value) == "unbalanced path: 1 more E than N steps at step 3"
 
+    def test_path_error_is_a_tree_error_that_names_the_step(self):
+        cases = [
+            ("EXEN", "unexpected step 'X'", 1),
+            ("ENNE", "path rises above the diagonal", 2),
+            ("EEN  ", "unbalanced path: 1 more E than N steps", 3),
+        ]
+        for text, reason, position in cases:
+            with pytest.raises(TreeParseError) as info:
+                parse_path(text)
+            assert type(info.value) is PathParseError
+            assert (info.value.reason, info.value.position) == (reason, position)
+            assert str(info.value) == f"{reason} at step {position}"
+
     def test_agrees_with_the_tree_decoder(self):
         # parse_path is the check of outside input, decode the check of every tree word
         to_brackets = str.maketrans("EN", "()")

@@ -34,9 +34,10 @@ def cut(s, order):
 
 
 class TestMonomial:
-    def test_times_merges_exponents(self):
-        assert zq(1, 1).times(zq(1, 2)) == zq(2, 3)
-        assert Monomial(1, 0, (1,)).times(Monomial(1, 0, (0, 1))) == Monomial(2, 0, (1, 1))
+    def test_product_merges_exponents(self):
+        # level-exponent tuples of unequal length add position by position
+        product = TruncSeries(3, {Monomial(1, 0, (1,)): 1}).mul(TruncSeries(3, {Monomial(1, 0, (0, 1)): 1}))
+        assert product == TruncSeries(3, {Monomial(2, 0, (1, 1)): 1})
 
     def test_canonical_sort_order(self):
         ms = [zq(1, 1), zq(0, 2), zq(1, 0), Monomial(1, 0, (1,))]
@@ -46,7 +47,8 @@ class TestMonomial:
         # no normalising: a caller who builds a monomial strips trailing zeros itself
         assert Monomial(1, 0, (1, 0)).v_degs == (1, 0)
         assert Monomial(1, 0, (1, 0)) != Monomial(1, 0, (1,))
-        assert Monomial(1, 0, (1, 0)).times(Monomial(1, 2)) == Monomial(2, 2, (1, 0))
+        product = TruncSeries(3, {Monomial(1, 0, (1, 0)): 1}).mul(series(3, {(1, 2): 1}))
+        assert product.terms() == [(Monomial(2, 2, (1, 0)), 1)]
 
 
 class TestMul:
