@@ -18,7 +18,7 @@ import os
 import sys
 from math import comb
 
-from .contfrac import LevelWeights, eval_cf
+from .contfrac import PRESETS, LevelWeights, eval_cf, increasing
 from .paths import area, parse_path, path_to_tree, tree_to_path
 from .perms import (
     count_increasing,
@@ -31,13 +31,7 @@ from .perms import (
 from .trees import TreeParseError, decode, generate_trees, level_profile, level_sum
 from . import verify as verify_mod
 
-_PRESETS = {
-    "catalan": LevelWeights("catalan"),
-    "eq1": LevelWeights("increasing", 3),
-    "eq2": LevelWeights("area"),
-    "multivariate": LevelWeights("multivariate"),
-}
-WEIGHT_TOKENS = "|".join(sorted([*_PRESETS, "k=<int>"]))
+WEIGHT_TOKENS = "|".join(sorted([*PRESETS, "k=<int>"]))
 # The most trees (sum of Catalan(n) for n <= --max-edges) a verify run may visit; it admits --max-edges <= 16.
 MAX_TREES = 10**8
 # The most comparisons, (min(k, n) - 1) * n(n - 1)/2, a count run may make; a 10^4-element word admits --k <= 21.
@@ -63,11 +57,11 @@ def _positive(text: str) -> int:
 
 
 def _parse_weights(token: str) -> LevelWeights:
-    if token in _PRESETS:
-        return _PRESETS[token]
+    if token in PRESETS:
+        return PRESETS[token]
     if token.startswith("k="):
         try:
-            return LevelWeights("increasing", _positive(token[2:]))
+            return increasing(_positive(token[2:]))
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"bad k in {token!r}") from None
     raise argparse.ArgumentTypeError(f"unknown weights {token!r}; expected {WEIGHT_TOKENS}")

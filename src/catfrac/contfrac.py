@@ -1,66 +1,58 @@
 """Continued-fraction evaluation with a preset weight per level.
 
 The generating function is the nested fraction 1/(1 - w_1/(1 - w_2/...)),
-where the weight monomial w_l prices one vertex at level l.  The four
-presets:
+where the weight monomial w_l prices one vertex at level l.  A preset is
+one ``LevelWeights`` row, its display name and its level -> w_l function;
+``PRESETS`` maps each CLI token to its row:
 
-    catalan        w_l = z                    counts trees by edges
-    area           w_l = z*q^l                q tracks the level sum, which
-                                              encodes lattice-path area
-    increasing(k)  w_l = z*q^C(l-1, k-1)      q tracks length-k increasing
-                                              patterns of the tree's word
-    multivariate   w_l = v_l                  one variable per level, the
-                                              full level-profile census
+    catalan        CATALAN         w_l = z                 counts trees by edges
+    eq2            AREA            w_l = z*q^l             q tracks the level sum,
+                                                           which encodes path area
+    eq1            increasing(3)   w_l = z*q^C(l-1, k-1)   q tracks length-k
+                   increasing(k)                           increasing patterns
+    multivariate   MULTIVARIATE    w_l = z*v_l             one variable per level,
+                                                           the level-profile census
 
-Every weight carries exactly one z (one edge), so a truncation at z-order N
-only ever sees the first N levels: evaluating at depth >= order is exact.
-The path DP in ``eval_cf`` keeps one running cell per row of z-degree,
-walked from the top height down to the row's finished z-slice, and the same
-bound lets it pack each monomial's q- and v-exponents as the digits of one
-integer key in one base, large enough that no digit carries, so the DP adds
-ints and builds a ``Monomial`` only when a slice is finished.
+``eval_cf`` requires exactly one z (one edge) per weight, so a truncation at
+z-order N only ever sees the first N levels: evaluating at depth >= order is
+exact.  The path DP in ``eval_cf`` keeps one running cell per row of
+z-degree, walked from the top height down to the row's finished z-slice, and
+the same bound lets it pack each monomial's q- and v-exponents as the digits
+of one integer key in one base, large enough that no digit carries, so the
+DP adds ints and builds a ``Monomial`` only when a slice is finished.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .series import Monomial, TruncSeries
 
 
-class _WeightFields(NamedTuple):
-    kind: str
-    k: int | None = None
+class LevelWeights(NamedTuple):
+    """One preset row: the name ``series --json`` prints, and w_l for each level l >= 1."""
 
-
-class LevelWeights(_WeightFields):
-    """A preset, ``LevelWeights(kind)`` or ``LevelWeights("increasing", k)``."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, k: int | None = None):
-        if kind not in ("catalan", "area", "increasing", "multivariate"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        if kind == "increasing" and (k is None or k < 1):
-            raise ValueError("increasing-pattern weights need k >= 1")
-        return super().__new__(cls, kind, k)
-
-    def weight(self, level: int) -> Monomial:
-        if level < 1:
-            raise ValueError("levels are indexed from 1")
-        if self.kind == "catalan":
-            return Monomial(1, 0, ())
-        if self.kind == "area":
-            return Monomial(1, level, ())
-        if self.kind == "increasing":
-            return Monomial(1, comb(level - 1, self.k - 1), ())
-        return Monomial(1, 0, (0,) * (level - 1) + (1,))
+    name: str
+    weight: Callable[[int], Monomial]
 
     def __str__(self) -> str:
-        if self.kind == "increasing":
-            return f"increasing(k={self.k})"
-        return self.kind
+        return self.name
+
+
+CATALAN = LevelWeights("catalan", lambda level: Monomial(1, 0, ()))
+AREA = LevelWeights("area", lambda level: Monomial(1, level, ()))
+MULTIVARIATE = LevelWeights("multivariate", lambda level: Monomial(1, 0, (0,) * (level - 1) + (1,)))
+
+
+def increasing(k: int) -> LevelWeights:
+    """The row whose q counts length-k increasing patterns (``--weights k=<k>``)."""
+    if k < 1:
+        raise ValueError("increasing-pattern weights need k >= 1")
+    return LevelWeights(f"increasing(k={k})", lambda level: Monomial(1, comb(level - 1, k - 1), ()))
+
+
+PRESETS = {"catalan": CATALAN, "eq1": increasing(3), "eq2": AREA, "multivariate": MULTIVARIATE}
 
 
 def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
@@ -70,7 +62,7 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
     coefficient is a sum over Dyck paths of height <= depth in which an
     up-step to height l carries w_l and a down-step carries 1.  Cell (d, h)
     holds the weighted path prefixes of z-degree d that end at height h.
-    Every weight carries one z, so such a prefix climbs no higher than d:
+    Every weight must carry one z, so such a prefix climbs no higher than d:
     levels past min(depth, order_z) are never looked up, and any
     depth >= order_z gives the exact series.
 
@@ -92,6 +84,9 @@ def eval_cf(weights: LevelWeights, depth: int, order_z: int) -> TruncSeries:
         raise ValueError("order_z must be nonnegative")
     top = min(depth, order_z)
     ups = [weights.weight(level) for level in range(1, top + 1)]
+    for level, w in enumerate(ups, start=1):
+        if w.z_deg != 1:
+            raise ValueError(f"the weight of level {level} has z-degree {w.z_deg}; eval_cf needs exactly one z")
     base = order_z * max((e for w in ups for e in (w.q_deg, *w.v_degs)), default=0) + 1
     steps = [sum(e * base**i for i, e in enumerate((w.q_deg, *w.v_degs))) for w in ups]
     out: dict[Monomial, int] = {}

@@ -25,10 +25,10 @@ class Monomial(NamedTuple):
 
     ``v_degs`` is stored as given, and monomials compare as tuples, so
     ``(1, 0)`` and ``(1,)`` differ.  Every monomial the package builds has
-    no trailing zero (those of ``eval_cf``, ``LevelWeights.weight`` and
+    no trailing zero (those of ``eval_cf``, the ``contfrac`` presets and
     products of such monomials); a caller who builds one strips it too.
-    When ``v_degs`` is nonempty the z-degree equals ``sum(v_degs)``: each
-    level variable carries one edge.  Tuple ordering gives the canonical
+    The z-degree is its own exponent, not tied to ``v_degs``; ``eval_cf``
+    requires one z in each level weight.  Tuple ordering gives the canonical
     sort (z_deg, then q_deg, then v_degs lexicographically) for free.
     """
 

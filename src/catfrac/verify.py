@@ -13,7 +13,7 @@ from collections import Counter
 from math import comb
 from typing import Callable
 
-from .contfrac import LevelWeights, eval_cf
+from .contfrac import AREA, MULTIVARIATE, eval_cf, increasing
 from .paths import path_to_tree, tree_to_path
 from .perms import (
     count_increasing_by_length,
@@ -138,7 +138,7 @@ def _slice_item(got: dict, census: dict, key: str, label: str = "census"):
 
 def check_level_census(max_edges: int) -> CheckResult:
     """Multivariate series coefficients == tree counts per level profile."""
-    series = eval_cf(LevelWeights("multivariate"), max(max_edges, 1), max_edges)
+    series = eval_cf(MULTIVARIATE, max(max_edges, 1), max_edges)
 
     def unit(n):
         census = level_profile_census(n)
@@ -174,7 +174,7 @@ def check_area_formula(max_edges: int) -> CheckResult:
 
 def check_area_series(max_edges: int) -> CheckResult:
     """Path-census area polynomial, exponent-reversed, == area-preset series."""
-    series = eval_cf(LevelWeights("area"), max(max_edges, 1), max_edges)
+    series = eval_cf(AREA, max(max_edges, 1), max_edges)
 
     def unit(n):
         poly = area_polynomial(n)
@@ -261,7 +261,7 @@ def check_pattern_series(max_edges: int, ks: tuple[int, ...]) -> CheckResult:
     censuses = [level_profile_census(n).items() for n in range(max_edges + 1)]
 
     def unit(k):
-        series = eval_cf(LevelWeights("increasing", k), max(max_edges, 1), max_edges)
+        series = eval_cf(increasing(k), max(max_edges, 1), max_edges)
         for n, profiles in enumerate(censuses):
             census: Counter[int] = Counter()
             for profile, count in profiles:

@@ -243,10 +243,10 @@ def fixed_point_check(order_z):
     T-shifted is T with every level variable moved up one level, i.e. the
     same census seen from one level below the root.
     """
-    from catfrac.contfrac import LevelWeights, eval_cf
+    from catfrac.contfrac import MULTIVARIATE, eval_cf
     from catfrac.series import Monomial, TruncSeries
 
-    t = eval_cf(LevelWeights("multivariate"), max(order_z, 1), order_z)
+    t = eval_cf(MULTIVARIATE, max(order_z, 1), order_z)
     v1 = TruncSeries(order_z, {Monomial(1, 0, (1,)): 1})
     return v1.mul(shift_levels(t)).geom_inverse() == t
 

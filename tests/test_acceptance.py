@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from math import comb
 
-from catfrac.contfrac import LevelWeights, eval_cf
+from catfrac.contfrac import AREA, CATALAN, MULTIVARIATE, eval_cf, increasing
 from catfrac.paths import area, generate_paths, path_to_tree, tree_to_path
 from catfrac.perms import (
     count_increasing,
@@ -70,7 +70,7 @@ def test_criterion_1_catalan_specialization(capsys):
     table = catalan_table(15)
     assert table == CATALAN_LITERALS
     start = time.perf_counter()
-    series = eval_cf(LevelWeights("catalan"), 15, 15)
+    series = eval_cf(CATALAN, 15, 15)
     elapsed = time.perf_counter() - start
     got = [series.z_slice(n).get(Monomial(n, 0, ()), 0) for n in range(16)]
     ok = got == table and elapsed < 1.0
@@ -83,7 +83,7 @@ def test_criterion_1_catalan_specialization(capsys):
 
 
 def test_criterion_2_increasing_k3_vs_permutation_scan():
-    series = eval_cf(LevelWeights("increasing", 3), 9, 9)
+    series = eval_cf(increasing(3), 9, 9)
     ok = z_slice_q(series, 3) == FROZEN_K3[3]
     scan_times = {}
     for n in range(10):
@@ -100,17 +100,17 @@ def test_criterion_2_increasing_k3_vs_permutation_scan():
 def test_criterion_3_general_k_vs_permutation_scan():
     ok = True
     for k in (2, 4, 5):
-        series = eval_cf(LevelWeights("increasing", k), 8, 8)
+        series = eval_cf(increasing(k), 8, 8)
         for n in range(9):
             ok = ok and z_slice_q(series, n) == pattern_polynomial_by_scan(n, k)
-    k2 = eval_cf(LevelWeights("increasing", 2), 4, 4)
-    k4 = eval_cf(LevelWeights("increasing", 4), 4, 4)
+    k2 = eval_cf(increasing(2), 4, 4)
+    k4 = eval_cf(increasing(4), 4, 4)
     ok = ok and z_slice_q(k2, 4) == FROZEN_K2_N4 and z_slice_q(k4, 4) == FROZEN_K4_N4
     report(3, "k in {2,4,5} series vs 8!-scan", ok)
 
 
 def test_criterion_4_area_polynomial_reversal():
-    series = eval_cf(LevelWeights("area"), 10, 10)
+    series = eval_cf(AREA, 10, 10)
     ok = True
     for n in range(11):
         poly = area_polynomial(n)
@@ -122,7 +122,7 @@ def test_criterion_4_area_polynomial_reversal():
 
 
 def test_criterion_5_multivariate_census():
-    series = eval_cf(LevelWeights("multivariate"), 8, 8)
+    series = eval_cf(MULTIVARIATE, 8, 8)
     displayed = {
         (): 1, (1,): 1, (1, 1): 1, (2,): 1,
         (1, 1, 1): 1, (2, 1): 2, (1, 2): 1, (3,): 1,
@@ -198,15 +198,7 @@ def test_criterion_8_pattern_counts_and_subsets():
 
 
 def test_criterion_9_cf_structural_properties():
-    presets = [
-        LevelWeights("catalan"),
-        LevelWeights("area"),
-        LevelWeights("increasing", 2),
-        LevelWeights("increasing", 3),
-        LevelWeights("increasing", 4),
-        LevelWeights("increasing", 5),
-        LevelWeights("multivariate"),
-    ]
+    presets = [CATALAN, AREA, *(increasing(k) for k in range(2, 6)), MULTIVARIATE]
     ok = True
     # eval_cf never climbs past the order, so saturation is shown on the bottom-up reference
     for weights in presets:
@@ -216,19 +208,17 @@ def test_criterion_9_cf_structural_properties():
     for order in range(11):
         ok = ok and fixed_point_check(order)
     order = 10
-    multi = eval_cf(LevelWeights("multivariate"), order, order)
-    ok = ok and specialize(multi, LevelWeights("catalan")) == eval_cf(LevelWeights("catalan"), order, order)
-    ok = ok and specialize(multi, LevelWeights("area")) == eval_cf(LevelWeights("area"), order, order)
+    multi = eval_cf(MULTIVARIATE, order, order)
+    ok = ok and specialize(multi, CATALAN) == eval_cf(CATALAN, order, order)
+    ok = ok and specialize(multi, AREA) == eval_cf(AREA, order, order)
     for k in (2, 3, 4, 5):
-        ok = ok and specialize(multi, LevelWeights("increasing", k)) == eval_cf(
-            LevelWeights("increasing", k), order, order
-        )
+        ok = ok and specialize(multi, increasing(k)) == eval_cf(increasing(k), order, order)
     report(9, "depth saturation, fixed point, specializations", ok)
 
 
 def test_criterion_10_area_order_40_vs_first_subtree_recurrence():
     start = time.perf_counter()
-    series = eval_cf(LevelWeights("area"), 40, 40)
+    series = eval_cf(AREA, 40, 40)
     elapsed = time.perf_counter() - start
     expected = area_polynomials(40)
     ok = elapsed < 10.0
@@ -239,7 +229,7 @@ def test_criterion_10_area_order_40_vs_first_subtree_recurrence():
 
 def test_criterion_11_increasing_k3_order_30():
     start = time.perf_counter()
-    series = eval_cf(LevelWeights("increasing", 3), 30, 30)
+    series = eval_cf(increasing(3), 30, 30)
     elapsed = time.perf_counter() - start
     table = catalan_table(30)
     ok = elapsed < 10.0
@@ -249,6 +239,6 @@ def test_criterion_11_increasing_k3_order_30():
         # identity word is the only one with all C(n,3) triples increasing
         ok = ok and sum(poly.values()) == table[n] and poly.get(0) == 2 ** (n - 1)
         ok = ok and (n < 3 or poly.get(comb(n, 3)) == 1)
-    reference = reference_eval_cf(LevelWeights("increasing", 3), 14, 14)
+    reference = reference_eval_cf(increasing(3), 14, 14)
     ok = ok and TruncSeries(14, dict(series.terms())) == reference
     report(11, "k=3 order 30 identities, equal to bottom-up through 14", ok, f"{elapsed:.2f}s")

@@ -64,6 +64,21 @@ class TestSeriesCommand:
             {"z": 2, "q": 3, "v": [], "coeff": "1"},
         ]
 
+    @pytest.mark.parametrize(
+        "token, name",
+        [
+            ("catalan", "catalan"),
+            ("eq1", "increasing(k=3)"),
+            ("eq2", "area"),
+            ("multivariate", "multivariate"),
+            ("k=7", "increasing(k=7)"),
+        ],
+    )
+    def test_json_names_the_weights(self, capsys, token, name):
+        code, out, _ = run_cli(capsys, "series", "--weights", token, "--order", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["weights"] == name
+
     def test_depth_flag_partial_evaluation(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--weights", "catalan", "--order", "4", "--depth", "1")
         assert out == "1 + z*(1) + z^2*(1) + z^3*(1) + z^4*(1)\n"

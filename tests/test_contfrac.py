@@ -1,12 +1,13 @@
 import contextlib
 import io
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catfrac import cli
-from catfrac.contfrac import LevelWeights, eval_cf
+from catfrac.contfrac import AREA, CATALAN, MULTIVARIATE, LevelWeights, eval_cf, increasing
 from catfrac.series import Monomial, TruncSeries
 from catfrac.trees import binom_profile_sum, generate_trees, level_profile
 
@@ -32,24 +33,24 @@ def coeff(s, m):
 
 class TestWeights:
     def test_catalan_weight_is_z_at_every_level(self):
-        w = LevelWeights("catalan")
+        w = CATALAN
         assert [w.weight(level) for level in (1, 2, 7)] == [zq(1), zq(1), zq(1)]
 
     def test_increasing_k3_weights(self):
         # exponents C(level-1, 2): 0, 0, 1, 3, 6, ...
-        w = LevelWeights("increasing", 3)
+        w = increasing(3)
         assert [w.weight(level).q_deg for level in range(1, 7)] == [0, 0, 1, 3, 6, 10]
 
     def test_increasing_k2_weights_are_level_minus_one(self):
-        w = LevelWeights("increasing", 2)
+        w = increasing(2)
         assert [w.weight(level).q_deg for level in range(1, 6)] == [0, 1, 2, 3, 4]
 
     def test_area_weights(self):
-        w = LevelWeights("area")
+        w = AREA
         assert [w.weight(level) for level in (1, 2, 3)] == [zq(1, 1), zq(1, 2), zq(1, 3)]
 
     def test_multivariate_weights(self):
-        w = LevelWeights("multivariate")
+        w = MULTIVARIATE
         assert [w.weight(level) for level in (1, 2, 3)] == [
             Monomial(1, 0, (1,)),
             Monomial(1, 0, (0, 1)),
@@ -58,28 +59,24 @@ class TestWeights:
 
     def test_increasing_requires_k(self):
         with pytest.raises(ValueError):
-            LevelWeights("increasing")
-
-    def test_only_the_four_presets_are_kinds(self):
-        with pytest.raises(ValueError, match="unknown weight kind"):
-            LevelWeights("custom")
+            increasing(0)
 
 
 class TestEvalCF:
     def test_catalan_numbers(self):
-        s = eval_cf(LevelWeights("catalan"), 5, 5)
+        s = eval_cf(CATALAN, 5, 5)
         assert [coeff(s, zq(n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
 
     def test_increasing_k3_order3_slice(self):
-        s = eval_cf(LevelWeights("increasing", 3), 3, 3)
+        s = eval_cf(increasing(3), 3, 3)
         assert s.z_slice(3) == {zq(3, 0): 4, zq(3, 1): 1}
 
     def test_area_depth2_order2(self):
-        s = eval_cf(LevelWeights("area"), 2, 2)
+        s = eval_cf(AREA, 2, 2)
         assert s == TruncSeries(2, {zq(0): 1, zq(1, 1): 1, zq(2, 2): 1, zq(2, 3): 1})
 
     def test_multivariate_order3_displayed_terms(self):
-        s = eval_cf(LevelWeights("multivariate"), 3, 3)
+        s = eval_cf(MULTIVARIATE, 3, 3)
         expected = {
             level_monomial(): 1,
             level_monomial(1): 1,
@@ -93,32 +90,39 @@ class TestEvalCF:
         assert s == TruncSeries(3, expected)
 
     def test_level_census_coefficient(self):
-        s = eval_cf(LevelWeights("multivariate"), 3, 3)
+        s = eval_cf(MULTIVARIATE, 3, 3)
         assert coeff(s, level_monomial(2, 1)) == 2
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            eval_cf(LevelWeights("catalan"), 0, 3)
+            eval_cf(CATALAN, 0, 3)
 
     def test_order_zero_is_constant_one(self):
-        assert eval_cf(LevelWeights("catalan"), 1, 0) == TruncSeries(0, {zq(0): 1})
+        assert eval_cf(CATALAN, 1, 0) == TruncSeries(0, {zq(0): 1})
 
     def test_shallow_depth_is_a_partial_evaluation(self):
         # only one level: 1/(1-z) counts one tree per edge count (the chains)
-        s = eval_cf(LevelWeights("catalan"), 1, 4)
+        s = eval_cf(CATALAN, 1, 4)
         assert [coeff(s, zq(n)) for n in range(5)] == [1, 1, 1, 1, 1]
 
     def test_depth_far_past_order_looks_up_only_the_reachable_levels(self):
         # the order caps the height at 3, so a huge depth builds three weights only
-        weights = LevelWeights("increasing", 3)
+        weights = increasing(3)
         assert eval_cf(weights, 10**8, 3) == eval_cf(weights, 3, 3)
+
+    def test_a_weight_without_exactly_one_z_is_rejected(self):
+        # the DP moves one row per up-step, so it would give 1 + z + 2z^2 + 5z^3 + 13z^4, not 1 + z^2 + 2z^4
+        z_squared = LevelWeights("z^2", lambda level: Monomial(2, 0, ()))
+        with pytest.raises(ValueError) as info:
+            eval_cf(z_squared, 3, 4)
+        assert str(info.value) == "the weight of level 1 has z-degree 2; eval_cf needs exactly one z"
 
 
 _PRESETS = [
-    LevelWeights("catalan"),
-    LevelWeights("area"),
-    *(LevelWeights("increasing", k) for k in range(1, 7)),
-    LevelWeights("multivariate"),
+    CATALAN,
+    AREA,
+    *(increasing(k) for k in range(1, 7)),
+    MULTIVARIATE,
 ]
 
 
@@ -157,19 +161,19 @@ class TestPackedExponents:
     @pytest.mark.parametrize("n", range(9))
     def test_multivariate_monomials_have_no_trailing_zero(self, n):
         # equal monomials compare equal only because every one built here is stripped
-        for m, _ in eval_cf(LevelWeights("multivariate"), max(n, 1), n).terms():
+        for m, _ in eval_cf(MULTIVARIATE, max(n, 1), n).terms():
             assert not m.v_degs or m.v_degs[-1] != 0
 
     @pytest.mark.parametrize("order", range(8))
     def test_q_digit_reaches_its_top(self, order):
         # area at depth 1 weighs z*q: the path (ud)^order has q-degree order = Q - 1
-        s = eval_cf(LevelWeights("area"), 1, order)
+        s = eval_cf(AREA, 1, order)
         assert s == TruncSeries(order, {zq(n, n): 1 for n in range(order + 1)})
 
     @pytest.mark.parametrize("order", range(8))
     def test_level_digits_reach_the_order(self, order):
         # the star has v1^order and the chain v1*v2*...*v_order: top digit and top place
-        s = eval_cf(LevelWeights("multivariate"), max(order, 1), order)
+        s = eval_cf(MULTIVARIATE, max(order, 1), order)
         assert coeff(s, level_monomial(order)) == 1
         assert coeff(s, level_monomial(*(1,) * order)) == 1
 
@@ -195,7 +199,7 @@ class TestStability:
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
     def test_depth_saturation_any_depth_past_order(self, order, extra):
-        w = LevelWeights("area")
+        w = AREA
         base = max(order, 1)
         assert eval_cf(w, base, order) == eval_cf(w, base + extra, order)
 
@@ -203,7 +207,7 @@ class TestStability:
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
     def test_reference_depth_saturation_any_depth_past_order(self, order, extra):
         # eval_cf never climbs past the order, so only the reference can show saturation
-        w = LevelWeights("area")
+        w = AREA
         base = max(order, 1)
         assert reference_eval_cf(w, base, order) == reference_eval_cf(w, base + extra, order)
 
@@ -222,27 +226,27 @@ class TestFixedPoint:
 class TestSpecialization:
     @pytest.mark.parametrize("order", [0, 1, 4, 7])
     def test_all_levels_to_z_gives_catalan(self, order):
-        multi = eval_cf(LevelWeights("multivariate"), max(order, 1), order)
-        cat = eval_cf(LevelWeights("catalan"), max(order, 1), order)
-        assert specialize(multi, LevelWeights("catalan")) == cat
+        multi = eval_cf(MULTIVARIATE, max(order, 1), order)
+        cat = eval_cf(CATALAN, max(order, 1), order)
+        assert specialize(multi, CATALAN) == cat
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_levels_to_binomial_weights_gives_increasing_preset(self, k):
         order = 7
-        multi = eval_cf(LevelWeights("multivariate"), order, order)
-        direct = eval_cf(LevelWeights("increasing", k), order, order)
-        assert specialize(multi, LevelWeights("increasing", k)) == direct
+        multi = eval_cf(MULTIVARIATE, order, order)
+        direct = eval_cf(increasing(k), order, order)
+        assert specialize(multi, increasing(k)) == direct
 
     def test_levels_to_area_weights_gives_area_preset(self):
         order = 7
-        multi = eval_cf(LevelWeights("multivariate"), order, order)
-        assert specialize(multi, LevelWeights("area")) == eval_cf(LevelWeights("area"), order, order)
+        multi = eval_cf(MULTIVARIATE, order, order)
+        assert specialize(multi, AREA) == eval_cf(AREA, order, order)
 
 
 class TestAgainstTreeCensus:
     def test_multivariate_coefficients_count_trees_by_profile(self):
         order = 6
-        s = eval_cf(LevelWeights("multivariate"), order, order)
+        s = eval_cf(MULTIVARIATE, order, order)
         for n in range(order + 1):
             census = Counter(level_profile(t) for t in generate_trees(n))
             got = {m.v_degs: c for m, c in s.z_slice(n).items()}
@@ -250,19 +254,19 @@ class TestAgainstTreeCensus:
 
     def test_catalan_coefficients_match_recurrence(self):
         table = catalan_table(8)
-        s = eval_cf(LevelWeights("catalan"), 8, 8)
+        s = eval_cf(CATALAN, 8, 8)
         assert [coeff(s, zq(n)) for n in range(9)] == table
 
 
 def _census_monomial(weights, profile):
     """The monomial one tree of this level profile contributes under the preset."""
-    n = sum(profile)
-    if weights.kind == "multivariate":
+    n, name = sum(profile), str(weights)
+    if name == "multivariate":
         return Monomial(n, 0, profile)
-    if weights.kind == "area":
+    if name == "area":
         return zq(n, sum(level * c for level, c in enumerate(profile, start=1)))
-    if weights.kind == "increasing":
-        return zq(n, binom_profile_sum(profile, weights.k))
+    if name.startswith("increasing(k="):
+        return zq(n, binom_profile_sum(profile, int(name.removeprefix("increasing(k=").removesuffix(")"))))
     return zq(n)
 
 
@@ -275,7 +279,7 @@ class TestHeightCap:
 
     @pytest.mark.parametrize(
         "weights",
-        [LevelWeights("catalan"), LevelWeights("area"), LevelWeights("increasing", 3), LevelWeights("multivariate")],
+        [CATALAN, AREA, increasing(3), MULTIVARIATE],
         ids=str,
     )
     def test_depth_h_slice_is_the_census_of_height_at_most_h(self, weights, censuses):
@@ -288,13 +292,33 @@ class TestHeightCap:
                 assert eval_cf(weights, h, n).z_slice(n) == dict(expected), (n, h)
 
 
+PARITY = LevelWeights("parity", lambda level: Monomial(1, level % 2))
+
+
+class TestNewPresetIsOneRow:
+    """w_l = z*q^(l mod 2): q counts the vertices on odd levels, with no code beyond the row."""
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_matches_bottom_up_evaluation(self, order):
+        for depth in sorted({1, 2, max(order, 1), order + 3}):
+            assert eval_cf(PARITY, depth, order) == reference_eval_cf(PARITY, depth, order), depth
+
+    def test_slices_count_trees_by_odd_level_vertices(self):
+        s = eval_cf(PARITY, 10, 10)
+        for n in range(11):
+            census = Counter(sum(level_profile(t)[::2]) for t in generate_trees(n))
+            assert s.z_slice(n) == {zq(n, odd): c for odd, c in census.items()}, n
+            if n:  # the Narayana numbers
+                assert census == {k: comb(n, k) * comb(n, k - 1) // n for k in range(1, n + 1)}, n
+
+
 class TestHugeK:
     """C(level-1, k-1) weights for k up to 10^12: a level below k weighs z alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**12), st.integers(0, 8), small_trees())
     def test_increasing_weights_at_any_k(self, k, order, t):
-        s = eval_cf(LevelWeights("increasing", k), max(order, 1), order)
+        s = eval_cf(increasing(k), max(order, 1), order)
         catalan = catalan_table(order)
         for n in range(order + 1):
             terms = s.z_slice(n)

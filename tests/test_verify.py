@@ -59,9 +59,9 @@ class TestOracles:
             assert sum(census.values()) == table[n]
 
     def test_z_slice_q_rejects_multivariate(self):
-        from catfrac.contfrac import LevelWeights, eval_cf
+        from catfrac.contfrac import MULTIVARIATE, eval_cf
 
-        series = eval_cf(LevelWeights("multivariate"), 3, 3)
+        series = eval_cf(MULTIVARIATE, 3, 3)
         with pytest.raises(ValueError, match="level variables"):
             verify.z_slice_q(series, 2)
 
